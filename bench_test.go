@@ -138,9 +138,9 @@ func relayProgram(ctx *sim.Ctx) error {
 	return nil
 }
 
-type relayMachine struct{ c *sim.StepCtx }
+type relayMachine struct{ c sim.Node }
 
-func (m relayMachine) Step(in sim.Input) bool {
+func (m *relayMachine) Step(in sim.Input) bool {
 	if in.Round == relayRounds {
 		return true
 	}
@@ -148,7 +148,18 @@ func (m relayMachine) Step(in sim.Input) bool {
 	return false
 }
 
-func (m relayMachine) Result() any { return nil }
+func (m *relayMachine) Result() any { return nil }
+
+// relayStepProgram draws the relay machines from one slab, as the
+// protocols do: one allocation per run, not one per node.
+func relayStepProgram() sim.StepProgram {
+	var slab sim.Slab[relayMachine]
+	return func(c sim.Node) sim.Machine {
+		m := slab.Alloc(c.N())
+		*m = relayMachine{c: c}
+		return m
+	}
+}
 
 func benchRelay(b *testing.B, run func(g *graph.Graph) (*sim.Result, error)) {
 	b.Helper()
@@ -183,7 +194,7 @@ func BenchmarkEngineRelayStepAdapter100k(b *testing.B) {
 
 func BenchmarkEngineRelayStepNative100k(b *testing.B) {
 	benchRelay(b, func(g *graph.Graph) (*sim.Result, error) {
-		return sim.RunStep(g, func(c *sim.StepCtx) sim.Machine { return relayMachine{c: c} })
+		return sim.RunStep(g, relayStepProgram())
 	})
 }
 

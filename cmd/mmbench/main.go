@@ -84,9 +84,9 @@ func relayProgram(ctx *sim.Ctx) error {
 	return nil
 }
 
-type relayMachine struct{ c *sim.StepCtx }
+type relayMachine struct{ c sim.Node }
 
-func (m relayMachine) Step(in sim.Input) bool {
+func (m *relayMachine) Step(in sim.Input) bool {
 	if in.Round == relayRounds {
 		return true
 	}
@@ -94,7 +94,18 @@ func (m relayMachine) Step(in sim.Input) bool {
 	return false
 }
 
-func (m relayMachine) Result() any { return nil }
+func (m *relayMachine) Result() any { return nil }
+
+// relayStepProgram draws the relay machines from one slab, as the
+// protocols do: one allocation per run, not one per node.
+func relayStepProgram() sim.StepProgram {
+	var slab sim.Slab[relayMachine]
+	return func(c sim.Node) sim.Machine {
+		m := slab.Alloc(c.N())
+		*m = relayMachine{c: c}
+		return m
+	}
+}
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("mmbench", flag.ContinueOnError)
@@ -181,7 +192,7 @@ func run(args []string, w io.Writer) error {
 			name = fmt.Sprintf("relay/step-native-w%d", workers)
 		}
 		if err := relay(name, workers, func() (*sim.Result, error) {
-			return sim.RunStep(ring, func(c *sim.StepCtx) sim.Machine { return relayMachine{c: c} },
+			return sim.RunStep(ring, relayStepProgram(),
 				sim.WithWorkers(workers))
 		}); err != nil {
 			return err
@@ -346,7 +357,7 @@ func compareReports(w io.Writer, cur *Report, baselinePath string) error {
 func phaseRows(w io.Writer, rep *Report, g *graph.Graph, n int) error {
 	for _, workers := range []int{1, 4} {
 		o := obs.New(obs.Options{})
-		if _, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine { return relayMachine{c: c} },
+		if _, err := sim.RunStep(g, relayStepProgram(),
 			sim.WithWorkers(workers), sim.WithRecorder(o)); err != nil {
 			return err
 		}

@@ -102,7 +102,7 @@ func run(args []string, w io.Writer) error {
 		algo      = fs.String("algo", "partition-det", strings.Join(algoNames, "|"))
 		variant   = fs.String("variant", "det", "multimedia function variant: det|balanced|rand")
 		stage     = fs.String("stage", "cap", "global stage: cap|mb")
-		engine    = fs.String("engine", "goroutine", "execution engine: goroutine|step (census and estimate-step are native step-engine protocols and always run on step)")
+		engine    = fs.String("engine", "goroutine", "execution engine: goroutine|step; goroutine steps machine protocols every node every round, step runs them natively and goroutine programs through its adapter (census and estimate-step always run on step)")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		jsonOut   = fs.Bool("json", false, "emit the run as one machine-readable JSON object on stdout")
 		faults    = fs.String("faults", "", "fault plan DSL, e.g. 'crash:7@10;jam:4-12/p0.5;drop:3@5-' (see README, Fault model)")
@@ -548,7 +548,7 @@ func runAlgo(algo string, g graph.Topology, seed int64, variant, stage string, s
 		rep.set("ratio", float64(res.Estimate)/float64(g.N()))
 		rep.metrics = &res.Metrics
 	case "estimate-step":
-		res, err := size.EstimateStep(g, seed, simOpts...)
+		res, err := size.Estimate(g, seed, append([]sim.Option{sim.WithEngine(sim.EngineStep)}, simOpts...)...)
 		if err != nil {
 			return nil, err
 		}

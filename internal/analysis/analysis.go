@@ -19,9 +19,9 @@
 //	            escaping closures, interface boxing, fmt.*, map/slice
 //	            literals, make/new, goroutine launches, and append forms
 //	            that grow fresh slices.
-//	ctxescape — *sim.StepCtx / *sim.Ctx values escaping their owning node:
-//	            globals, channel sends, goroutine captures, pointer
-//	            collections, and post-construction field aliasing.
+//	ctxescape — *sim.StepCtx / *sim.Ctx / sim.Node values escaping their
+//	            owning node: globals, channel sends, goroutine captures,
+//	            pointer collections, and post-construction field aliasing.
 //	atomicmix — struct fields accessed both through sync/atomic pointer
 //	            calls and by plain loads/stores.
 //

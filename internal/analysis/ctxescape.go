@@ -1,8 +1,9 @@
 package analysis
 
 // ctxescape guards the ownership contract of the engines' per-node
-// contexts. A *sim.StepCtx (or goroutine-engine *sim.Ctx) is the engine's
-// handle for exactly one node: the sanctioned pattern is a StepProgram (or
+// contexts. A *sim.StepCtx (or goroutine-engine *sim.Ctx, or the sim.Node
+// interface machines hold either through) is the engine's handle for
+// exactly one node: the sanctioned pattern is a StepProgram (or
 // Program) capturing its own c — typically into the machine it constructs
 // via a composite literal — and every method being called only from that
 // node's Step. The ROADMAP's state-compaction tier will turn StepCtx
@@ -20,9 +21,9 @@ package analysis
 // Composite-literal construction (&machine{c: c}) stays legal: the machine
 // is the node's own state and lives exactly as long as the node.
 //
-// Matching is by name — a pointer to a named type StepCtx or Ctx declared
-// in a package named "sim" — so the analyzer keeps working across the
-// planned refactors without importing the engine.
+// Matching is by name — a pointer to a named type StepCtx or Ctx, or the
+// named interface Node, declared in a package named "sim" — so the analyzer
+// keeps working across the planned refactors without importing the engine.
 
 import (
 	"go/ast"
@@ -32,25 +33,29 @@ import (
 // CtxEscape is the context-ownership analyzer.
 var CtxEscape = &Analyzer{
 	Name: "ctxescape",
-	Doc:  "flags *sim.StepCtx/*sim.Ctx values escaping their owning node: globals, channel sends, goroutine captures, pointer collections, field re-aliasing",
+	Doc:  "flags *sim.StepCtx/*sim.Ctx/sim.Node values escaping their owning node: globals, channel sends, goroutine captures, pointer collections, field re-aliasing",
 	Run:  runCtxEscape,
 }
 
-// isCtxPtr reports whether t is *sim.StepCtx or *sim.Ctx.
+// isCtxPtr reports whether t is *sim.StepCtx, *sim.Ctx, or the sim.Node
+// interface a machine holds either through.
 func isCtxPtr(t types.Type) bool {
+	if named, ok := t.(*types.Named); ok {
+		return types.IsInterface(named) && inSim(named, "Node")
+	}
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
 	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
+	return ok && (inSim(named, "StepCtx") || inSim(named, "Ctx"))
+}
+
+// inSim reports whether named is the type name declared in a package named
+// "sim".
+func inSim(named *types.Named, name string) bool {
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Name() != "sim" {
-		return false
-	}
-	return obj.Name() == "StepCtx" || obj.Name() == "Ctx"
+	return obj.Pkg() != nil && obj.Pkg().Name() == "sim" && obj.Name() == name
 }
 
 func (p *Pass) exprIsCtx(e ast.Expr) bool {

@@ -7,6 +7,10 @@ var leaked *sim.StepCtx // want "package-level leaked holds a .sim context"
 
 var ctxCh = make(chan *sim.StepCtx)
 
+var leakedNode sim.Node // want "package-level leakedNode holds a .sim context"
+
+var nodeCh = make(chan sim.Node)
+
 type machine struct {
 	c     *sim.StepCtx
 	other *sim.Ctx
@@ -30,6 +34,28 @@ func escapes(c *sim.StepCtx, g *sim.Ctx, m *machine, r *registry) {
 		c.Sleep() // want "captured by a goroutine"
 	}()
 	go handle(c) // want "passed to a goroutine"
+}
+
+// nodeEscapes repeats the escapes through the sim.Node interface, the type
+// machines hold their handle as.
+func nodeEscapes(n sim.Node, c *sim.StepCtx) {
+	leakedNode = n // want "stored into package-level leakedNode"
+	leakedNode = c // want "stored into package-level leakedNode"
+	nodeCh <- n    // want "sent over a channel"
+	go func() {
+		n.Sleep() // want "captured by a goroutine"
+	}()
+	go handleNode(n) // want "passed to a goroutine"
+}
+
+func handleNode(n sim.Node) {}
+
+type nodeMachine struct{ n sim.Node }
+
+func legalNode(n sim.Node) *nodeMachine {
+	n.Sleep()
+	handleNode(n)
+	return &nodeMachine{n: n} // ok: composite-literal construction
 }
 
 func collections(a, b *sim.StepCtx) {

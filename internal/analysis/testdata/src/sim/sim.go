@@ -15,3 +15,8 @@ type Ctx struct {
 
 // Sleep is a representative method.
 func (c *StepCtx) Sleep() {}
+
+// Node mimics the handle interface machines program against.
+type Node interface {
+	Sleep()
+}

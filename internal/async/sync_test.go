@@ -50,8 +50,8 @@ func TestSyncComputesSum(t *testing.T) {
 	}
 }
 
-// TestSyncEngineEquivalence: both engine forms of the synchronizer must be
-// bit-identical.
+// TestSyncEngineEquivalence: the synchronizer must be bit-identical on both
+// engines.
 func TestSyncEngineEquivalence(t *testing.T) {
 	g, err := graph.RandomConnected(40, 70, 11)
 	if err != nil {

@@ -101,8 +101,8 @@ func TestDistributedMeetsSpec(t *testing.T) {
 	}
 }
 
-// TestDistributedEngineEquivalence: goroutine and native machine forms must
-// produce identical colors and metrics.
+// TestDistributedEngineEquivalence: the coloring machine must produce
+// identical colors and metrics on the goroutine engine and the step engine.
 func TestDistributedEngineEquivalence(t *testing.T) {
 	old := sim.DefaultEngine
 	defer func() { sim.DefaultEngine = old }()

@@ -23,6 +23,7 @@ import (
 	"repro/internal/mst"
 	"repro/internal/partition"
 	"repro/internal/resolve"
+	"repro/internal/sim"
 	"repro/internal/size"
 	"repro/internal/snapshot"
 )
@@ -132,7 +133,7 @@ func Protocols() []Protocol {
 			return []any{res.Estimate, res.Metrics}, nil
 		}},
 		{Name: "estimate-step", Algos: []string{"estimate-step"}, Run: func(g graph.Topology, seed int64) (any, error) {
-			res, err := size.EstimateStep(g, seed)
+			res, err := size.Estimate(g, seed, sim.WithEngine(sim.EngineStep))
 			if err != nil {
 				return nil, err
 			}

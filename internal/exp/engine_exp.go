@@ -12,9 +12,9 @@ import (
 )
 
 // runE9 characterizes the two execution engines. Part (a) runs the same
-// protocol — the point-to-point census — on the goroutine engine and as a
-// native step machine, asserting identical transcripts and reporting the
-// wall-clock ratio. Part (b) sweeps the native census alone up to 10⁶-node
+// machine — the point-to-point census — on the goroutine engine and on the
+// step engine, asserting identical transcripts and reporting the wall-clock
+// ratio. Part (b) sweeps the native census alone up to 10⁶-node
 // rings and grids (full mode), the scale the goroutine engine cannot reach:
 // its cost is nodes × rounds channel handoffs, while the step engine's
 // sleep/wake activation makes the same run cost O(n + m) machine steps.
@@ -45,20 +45,17 @@ func runE9(w io.Writer, full bool) error {
 		if err != nil {
 			return err
 		}
-		// Pin the baseline leg to the goroutine engine: mmexp -engine step
-		// retargets sim.DefaultEngine, and a baseline that silently ran on
-		// the step adapter would make this comparison measure nothing.
-		prevEngine := sim.DefaultEngine
-		sim.DefaultEngine = sim.EngineGoroutine
+		// Pin each leg to its engine: mmexp -engine step retargets
+		// sim.DefaultEngine, and a baseline that silently ran on the step
+		// engine would make this comparison measure nothing.
 		t0 := time.Now()
-		gor, err := globalfunc.PointToPoint(g, 1, globalfunc.Sum, ones)
-		sim.DefaultEngine = prevEngine
+		gor, err := globalfunc.PointToPoint(g, 1, globalfunc.Sum, ones, sim.WithEngine(sim.EngineGoroutine))
 		if err != nil {
 			return fmt.Errorf("E9a %s goroutine: %w", sh.name, err)
 		}
 		dg := time.Since(t0)
 		t0 = time.Now()
-		nat, err := globalfunc.PointToPointStep(g, 1, globalfunc.Sum, ones)
+		nat, err := globalfunc.PointToPoint(g, 1, globalfunc.Sum, ones, sim.WithEngine(sim.EngineStep))
 		if err != nil {
 			return fmt.Errorf("E9a %s step: %w", sh.name, err)
 		}

@@ -8,11 +8,9 @@ package forest
 // scalar aggregate. The protocol never touches the channel, so it is pure
 // point-to-point: O(diameter) rounds and O(n + m) messages.
 //
-// Both engine forms are message-for-message identical — one shared bfsState
-// transition drives the goroutine Program and the native machine, and the
-// engines-equivalence suite compares them bit for bit. Being message-driven,
-// the native form sleeps whenever no message can change its state, which
-// grows million-node forests in seconds.
+// Being message-driven, the machine sleeps whenever no message can change
+// its state, which grows million-node forests in seconds on the step
+// engine.
 
 import (
 	"fmt"
@@ -36,79 +34,26 @@ type bfsResult struct {
 	Total      int
 }
 
-// BFSProgram returns the goroutine form of the spanning-forest protocol.
-func BFSProgram() sim.Program {
-	return func(c *sim.Ctx) error {
-		st := newBFSState(c.ID() == 0)
-		if st.root {
-			st.explore(cSender{c}, 0, nil)
-		}
-		for {
-			in := c.Tick()
-			if st.step(cSender{c}, in) {
-				c.SetResult(st.record())
-				return nil
-			}
-		}
-	}
-}
-
-// BFSStepProgram returns the native machine form of the protocol. Machines
-// come from a per-run slab — one allocation for the whole network, with the
-// protocol state embedded by value — so million-node forests cost one block
-// per node, not two heap objects.
+// BFSStepProgram returns the protocol's machine program. Machines come from
+// a per-run slab — one allocation for the whole network, with the protocol
+// state embedded by value — so million-node forests cost one block per
+// node, not two heap objects.
 func BFSStepProgram() sim.StepProgram {
 	var slab sim.Slab[bfsMachine]
-	return func(c *sim.StepCtx) sim.Machine {
+	return func(c sim.Node) sim.Machine {
 		m := slab.Alloc(c.N())
-		*m = bfsMachine{c: c, st: newBFSState(c.ID() == 0)}
+		root := c.ID() == 0
+		*m = bfsMachine{
+			c: c, root: root, adopted: root,
+			parent: -1, parentEdge: -1, parentLink: -1, size: 1,
+		}
 		return m
 	}
 }
 
+// bfsMachine is one node's protocol state.
 type bfsMachine struct {
-	c  *sim.StepCtx
-	st bfsState
-}
-
-func (m *bfsMachine) Step(in sim.Input) bool {
-	s := scSender{m.c}
-	if in.Round == 0 {
-		if m.st.root {
-			m.st.explore(s, 0, nil)
-		}
-		return m.st.finishRound(m.c)
-	}
-	if m.st.step(s, in) {
-		return true
-	}
-	return m.st.finishRound(m.c)
-}
-
-func (m *bfsMachine) Result() any { return m.st.record() }
-
-// sender abstracts the two engines' send/link surface so one state
-// transition drives both forms.
-type sender interface {
-	send(link int, p sim.Payload)
-	degree() int
-	linkOf(edgeID int) int
-}
-
-type cSender struct{ c *sim.Ctx }
-
-func (s cSender) send(link int, p sim.Payload) { s.c.Send(link, p) }
-func (s cSender) degree() int                  { return s.c.Degree() }
-func (s cSender) linkOf(edgeID int) int        { return s.c.LinkOf(edgeID) }
-
-type scSender struct{ c *sim.StepCtx }
-
-func (s scSender) send(link int, p sim.Payload) { s.c.Send(link, p) }
-func (s scSender) degree() int                  { return s.c.Degree() }
-func (s scSender) linkOf(edgeID int) int        { return s.c.LinkOf(edgeID) }
-
-// bfsState is the per-node protocol state, identical across engine forms.
-type bfsState struct {
+	c    sim.Node
 	root bool
 
 	parent     graph.NodeID
@@ -127,36 +72,37 @@ type bfsState struct {
 	resultIn bool
 }
 
-func newBFSState(root bool) bfsState {
-	return bfsState{root: root, adopted: root, parent: -1, parentEdge: -1, parentLink: -1, size: 1}
-}
-
 // explore sends the wavefront on every link except those named by the skip
 // set — a bitmask over links < 64 plus a map for a high-degree hub's rest,
 // so the common case stays allocation-free.
-func (st *bfsState) explore(s sender, skipMask uint64, skipBig map[int]bool) {
-	for l := 0; l < s.degree(); l++ {
+func (m *bfsMachine) explore(skipMask uint64, skipBig map[int]bool) {
+	for l := 0; l < m.c.Degree(); l++ {
 		if l < 64 && skipMask&(uint64(1)<<l) != 0 {
 			continue
 		}
 		if l >= 64 && skipBig[l] {
 			continue
 		}
-		s.send(l, fExplore{})
-		st.acksPending++
+		m.c.Send(l, fExplore{})
+		m.acksPending++
 	}
-	st.explored = true
+	m.explored = true
 }
 
-func (st *bfsState) forward(s sender, v int) {
-	for _, l := range st.childLinks {
-		s.send(l, fDone{N: v})
+func (m *bfsMachine) forward(v int) {
+	for _, l := range m.childLinks {
+		m.c.Send(l, fDone{N: v})
 	}
-	st.total, st.resultIn = v, true
+	m.total, m.resultIn = v, true
 }
 
-// step consumes one round's input; true means the node is finished.
-func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
+func (m *bfsMachine) Step(in sim.Input) bool {
+	if in.Round == 0 {
+		if m.root {
+			m.explore(0, nil)
+		}
+		return m.finishRound()
+	}
 	// Adoption: among this round's explores pick the least sender; links
 	// that carried an explore lead to already-adopted nodes.
 	bestLink := -1
@@ -166,7 +112,7 @@ func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
 	var skipBig map[int]bool
 	for _, msg := range in.Msgs {
 		if _, ok := msg.Payload.(fExplore); ok {
-			l := s.linkOf(msg.EdgeID)
+			l := m.c.LinkOf(msg.EdgeID)
 			if l < 64 {
 				skipMask |= uint64(1) << l
 			} else {
@@ -181,74 +127,70 @@ func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
 		}
 	}
 	adoptedNow := false
-	if bestLink != -1 && !st.adopted {
-		st.adopted, adoptedNow = true, true
-		st.parentLink, st.parentEdge, st.parent = bestLink, bestEdge, bestFrom
-		st.explore(s, skipMask, skipBig)
+	if bestLink != -1 && !m.adopted {
+		m.adopted, adoptedNow = true, true
+		m.parentLink, m.parentEdge, m.parent = bestLink, bestEdge, bestFrom
+		m.explore(skipMask, skipBig)
 	}
 	parentLinkBusy := false
 	for _, msg := range in.Msgs {
-		l := s.linkOf(msg.EdgeID)
+		l := m.c.LinkOf(msg.EdgeID)
 		switch p := msg.Payload.(type) {
 		case fExplore:
-			s.send(l, fAck{Child: adoptedNow && l == st.parentLink})
-			if l == st.parentLink {
+			m.c.Send(l, fAck{Child: adoptedNow && l == m.parentLink})
+			if l == m.parentLink {
 				parentLinkBusy = true
 			}
 		case fAck:
-			st.acksPending--
+			m.acksPending--
 			if p.Child {
-				st.childLinks = append(st.childLinks, l)
+				m.childLinks = append(m.childLinks, l)
 			}
 		case fValue:
-			st.size += p.N
-			st.reports++
+			m.size += p.N
+			m.reports++
 		case fDone:
-			st.forward(s, p.N)
+			m.forward(p.N)
 		}
 	}
 	// Convergecast once the child set is final and all children reported;
 	// wait a round if the ack already used the parent link.
-	if st.upReady() && !parentLinkBusy {
-		st.sentUp = true
-		if st.root {
-			st.forward(s, st.size)
+	if m.upReady() && !parentLinkBusy {
+		m.sentUp = true
+		if m.root {
+			m.forward(m.size)
 		} else {
-			s.send(st.parentLink, fValue{N: st.size})
+			m.c.Send(m.parentLink, fValue{N: m.size})
 		}
 	}
-	return st.resultIn && st.acksPending == 0
+	if m.resultIn && m.acksPending == 0 {
+		return true
+	}
+	return m.finishRound()
 }
 
-func (st *bfsState) upReady() bool {
-	return st.adopted && st.explored && st.acksPending == 0 && !st.sentUp &&
-		st.reports == len(st.childLinks)
+func (m *bfsMachine) upReady() bool {
+	return m.adopted && m.explored && m.acksPending == 0 && !m.sentUp &&
+		m.reports == len(m.childLinks)
 }
 
-// finishRound parks the native machine whenever only a message can change
-// its state (the goroutine form just blocks in Tick).
-func (st *bfsState) finishRound(c *sim.StepCtx) bool {
-	if !st.upReady() {
-		c.Sleep()
+// finishRound parks the node whenever only a message can change its state.
+func (m *bfsMachine) finishRound() bool {
+	if !m.upReady() {
+		m.c.Sleep()
 	}
 	return false
 }
 
-func (st *bfsState) record() any {
-	return bfsResult{Parent: st.parent, ParentEdge: st.parentEdge, Total: st.total}
+func (m *bfsMachine) Result() any {
+	return bfsResult{Parent: m.parent, ParentEdge: m.parentEdge, Total: m.total}
 }
 
 // BFS grows the spanning forest of g from node 0 on sim.DefaultEngine and
 // validates it. Every node also learns n (the convergecast total), returned
 // for cross-checking.
 func BFS(g graph.Topology, seed int64) (*Forest, int, sim.Metrics, error) {
-	var res *sim.Result
-	var err error
-	if sim.DefaultEngine == sim.EngineStep {
-		res, err = sim.RunStep(g, BFSStepProgram(), sim.WithSeed(seed))
-	} else {
-		res, err = sim.Run(g, BFSProgram(), sim.WithSeed(seed))
-	}
+	res, err := sim.RunStep(g, BFSStepProgram(), sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine))
 	if err != nil {
 		return nil, 0, sim.Metrics{}, fmt.Errorf("forest: bfs: %w", err)
 	}

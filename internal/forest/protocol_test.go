@@ -53,8 +53,8 @@ func TestBFSGrowsSpanningTree(t *testing.T) {
 	}
 }
 
-// TestBFSEngineEquivalence: both engine forms must produce identical
-// forests and metrics.
+// TestBFSEngineEquivalence: both engines must produce identical forests and
+// metrics.
 func TestBFSEngineEquivalence(t *testing.T) {
 	g, err := graph.RandomConnected(80, 160, 7)
 	if err != nil {

@@ -1,34 +1,30 @@
 package globalfunc
 
-// stepsum.go is the native step-machine port of the point-to-point census /
-// global-function baseline (the §5.2 lower-bound model): build a BFS tree
-// from the distinguished leader, convergecast partials, broadcast the
-// result. The machine is a faithful state-machine transcription of
-// p2pProgram in baselines.go — same message types, same decisions, same
-// round structure — so the two forms produce identical results and metrics
-// for any (graph, seed). Being message-driven, every node sleeps whenever
-// no message can change its state, which makes the native form run whole
-// 10⁶-node networks: the engine's cost is O(n + m) node-steps instead of
-// the goroutine engine's O(n · diameter) channel handoffs.
+// stepsum.go is the step machine of the point-to-point census /
+// global-function baseline (the §5.2 lower-bound model) run by
+// PointToPoint: build a BFS tree from the distinguished leader, convergecast
+// partials, broadcast the result. Being message-driven, every node sleeps
+// whenever no message can change its state, which makes the step engine run
+// whole 10⁶-node networks: its cost is O(n + m) node-steps instead of the
+// goroutine engine's O(n · diameter) channel handoffs.
 
 import (
 	"encoding/gob"
-	"fmt"
 	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
-// P2PStepProgram returns the native step-machine form of the point-to-point
-// baseline protocol run by PointToPoint. Machines are drawn from one
+// P2PStepProgram returns the machine program of the point-to-point baseline
+// protocol run by PointToPoint. Machines are drawn from one
 // contiguous slab sized to the network (individual allocations past its
 // capacity serve crash-restart revivals), so a 10⁸-node census costs one
 // machine-sized block per node in a single allocation, not 10⁸ separate
 // heap objects.
 func P2PStepProgram(op Op, in Inputs) sim.StepProgram {
 	sh := &p2pShared{op: op}
-	return func(c *sim.StepCtx) sim.Machine {
+	return func(c sim.Node) sim.Machine {
 		m := sh.slab.Alloc(c.N())
 		*m = p2pMachine{
 			c:          c,
@@ -59,14 +55,14 @@ const (
 	p2pResultSet
 )
 
-// p2pMachine is one node's state in the BFS-tree aggregate: the loop-local
-// variables of p2pProgram promoted to fields, stepped once per round. The
-// layout is compact (64 bytes) because at census scale the machines are the
-// engine's dominant per-node cost: child links are a bitmask over local
-// link indices — with a rare overflow list for links ≥ 64, allocated behind
-// a pointer only on nodes that need it — and the booleans pack into flags.
+// p2pMachine is one node's state in the BFS-tree aggregate, stepped once
+// per round. The layout is compact (80 bytes) because at census scale the
+// machines are the engine's dominant per-node cost: child links are a
+// bitmask over local link indices — with a rare overflow list for links
+// ≥ 64, allocated behind a pointer only on nodes that need it — and the
+// booleans pack into flags.
 type p2pMachine struct {
-	c  *sim.StepCtx
+	c  sim.Node
 	sh *p2pShared
 
 	partial     int64
@@ -92,10 +88,7 @@ func (m *p2pMachine) addChild(l int) {
 	m.childCount++
 }
 
-// forEachChild visits the child links in ascending link order. The
-// goroutine form visits them in ack-arrival order instead; the difference
-// is unobservable (each child receives a single message, and inboxes are
-// sorted on delivery), so transcripts still match bit for bit.
+// forEachChild visits the child links in ascending link order.
 func (m *p2pMachine) forEachChild(f func(l int)) {
 	for mask := m.childMask; mask != 0; mask &= mask - 1 {
 		f(bits.TrailingZeros64(mask))
@@ -141,7 +134,6 @@ func (m *p2pMachine) forward(v int64) {
 
 func (m *p2pMachine) Step(in sim.Input) bool {
 	if in.Round == 0 {
-		// The code p2pProgram runs before its first Tick.
 		if m.c.ID() == 0 {
 			m.explore(0, nil)
 		}
@@ -221,8 +213,8 @@ func (m *p2pMachine) upReady() bool {
 		m.reports == m.childCount
 }
 
-// finishRound evaluates p2pProgram's loop condition and parks the node
-// whenever only a message can change its state.
+// finishRound halts the node once it has the result and no ack is
+// outstanding, and parks it whenever only a message can change its state.
 func (m *p2pMachine) finishRound() bool {
 	if m.flags&p2pResultSet != 0 && m.acksPending == 0 {
 		return true
@@ -309,23 +301,4 @@ func init() {
 	gob.Register(p2pAck{})
 	gob.Register(p2pValue{})
 	gob.Register(p2pResult{})
-}
-
-// PointToPointStep computes the function on the pure point-to-point network
-// with the native step engine — the same protocol, results, and metrics as
-// PointToPoint, at million-node scale.
-func PointToPointStep(g graph.Topology, seed int64, op Op, in Inputs, opts ...sim.Option) (*Result, error) {
-	opts = append([]sim.Option{sim.WithSeed(seed)}, opts...)
-	res, err := sim.RunStep(g, P2PStepProgram(op, in), opts...)
-	if err != nil {
-		return nil, fmt.Errorf("globalfunc: p2p step baseline: %w", err)
-	}
-	if res.Metrics.Slots() != 0 {
-		return nil, fmt.Errorf("globalfunc: p2p step baseline touched the channel")
-	}
-	val, err := collectValue(res.Results)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Value: val, Trees: 1, Compute: res.Metrics, Total: res.Metrics}, nil
 }

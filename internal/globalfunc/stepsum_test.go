@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
-// TestPointToPointStepMatchesGoroutineForm checks the native BFS-tree
-// aggregate against the goroutine program it was ported from: identical
-// value, results, and metrics on every topology.
-func TestPointToPointStepMatchesGoroutineForm(t *testing.T) {
+// TestPointToPointEngineEquivalence runs the BFS-tree aggregate on the
+// goroutine engine and the step engine: identical value and metrics on
+// every topology, and the value matches the reference.
+func TestPointToPointEngineEquivalence(t *testing.T) {
 	in := func(v graph.NodeID) int64 { return (int64(v)*97 + 5) % 1000 }
 	for _, tc := range []struct {
 		name string
@@ -29,13 +30,13 @@ func TestPointToPointStepMatchesGoroutineForm(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, op := range []Op{Sum, Min, Xor} {
-				gor, err := PointToPoint(g, 1, op, in)
+				gor, err := PointToPoint(g, 1, op, in, sim.WithEngine(sim.EngineGoroutine))
 				if err != nil {
 					t.Fatalf("%s goroutine: %v", op.Name, err)
 				}
-				nat, err := PointToPointStep(g, 1, op, in)
+				nat, err := PointToPoint(g, 1, op, in, sim.WithEngine(sim.EngineStep))
 				if err != nil {
-					t.Fatalf("%s native: %v", op.Name, err)
+					t.Fatalf("%s step: %v", op.Name, err)
 				}
 				if gor.Value != nat.Value {
 					t.Errorf("%s: value %d vs %d", op.Name, gor.Value, nat.Value)

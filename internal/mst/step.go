@@ -1,18 +1,13 @@
 package mst
 
-// step.go is the native step-machine form of stages 2–3 of the §6 MST
-// algorithm: a state-machine transcription of mergeProgram, slot-for-slot
-// and message-for-message identical to the goroutine form, so either engine
-// produces a bit-identical transcript. The native form is what makes the
-// merge run at million-node scale: during the per-phase convergecast
+// step.go is stages 2–3 of the §6 MST algorithm as a step machine, run by
+// finish() on either engine. It is what makes the merge run at
+// million-node scale on the step engine: during the per-phase convergecast
 // barriers, passive nodes are parked with SleepUntilPulse, so a phase costs
 // O(n) machine steps instead of O(n · radius) — and the per-step work is
 // kept allocation-free (link-indexed fragment slices instead of maps, the
 // heard list grouped by an in-place stable sort instead of a per-phase map)
 // because every node runs it every slot round.
-//
-// finish() dispatches here whenever sim.DefaultEngine is the step engine,
-// which is how `mmnet -algo mst -engine step` retires the goroutine merge.
 
 import (
 	"cmp"
@@ -35,7 +30,7 @@ const (
 // mergeMachine is one node's state in the native merge. The forest and the
 // children lists are shared read-only across all machines of the run.
 type mergeMachine struct {
-	c         *sim.StepCtx
+	c         sim.Node
 	f         *forest.Forest
 	kids      []graph.NodeID
 	phasesOut *int
@@ -72,7 +67,7 @@ type mergeMachine struct {
 func mergeStepProgram(f *forest.Forest, phasesOut *int) sim.StepProgram {
 	children := f.Children()
 	var slab sim.Slab[mergeMachine]
-	return func(c *sim.StepCtx) sim.Machine {
+	return func(c sim.Node) sim.Machine {
 		id := c.ID()
 		m := slab.Alloc(c.N())
 		*m = mergeMachine{
@@ -182,8 +177,8 @@ func (m *mergeMachine) enterConv() {
 	m.state = msConv
 }
 
-// convHandle is the barrier handler of stage 3 step 1, identical to the
-// goroutine form's closure.
+// convHandle is the barrier handler of stage 3 step 1: fold the children's
+// reports into the best candidate and pass it up once every child reported.
 func (m *mergeMachine) convHandle(step sim.Input) bool {
 	for _, msg := range step.Msgs {
 		p, ok := msg.Payload.(mMin)
@@ -248,9 +243,8 @@ func (m *mergeMachine) stepSlots(in sim.Input) bool {
 	// Local: the minimum per current fragment is an MST edge; merge, in the
 	// same canonical order as every other node. The heard list is grouped
 	// in place: the stable sort keeps arrival order within each fragment,
-	// so the strict-less scan picks the same winner as the goroutine form's
-	// first-wins map, and the groups come out in the ascending fragment
-	// order the merges must replay in.
+	// so the strict-less scan picks the first-heard minimum, and the groups
+	// come out in the ascending fragment order the merges must replay in.
 	slices.SortStableFunc(m.heard, func(a, b mSlot) int { return cmp.Compare(a.CurFrag, b.CurFrag) })
 	id := m.c.ID()
 	merges := 0

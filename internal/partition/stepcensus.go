@@ -18,7 +18,7 @@ import (
 
 // fragCensusMachine is one node's state in the native fragment census.
 type fragCensusMachine struct {
-	c *sim.StepCtx
+	c sim.Node
 	b *sim.StepBarrier
 
 	parent     graph.NodeID // -1 at cores
@@ -80,7 +80,7 @@ func (m *fragCensusMachine) Result() any { return m.size }
 func FragmentSizes(f *forest.Forest, seed int64, opts ...sim.Option) ([]int, *sim.Metrics, error) {
 	children := f.Children()
 	opts = append([]sim.Option{sim.WithSeed(seed)}, opts...)
-	res, err := sim.RunStep(f.G, func(c *sim.StepCtx) sim.Machine {
+	res, err := sim.RunStep(f.G, func(c sim.Node) sim.Machine {
 		return &fragCensusMachine{
 			c:          c,
 			b:          sim.NewStepBarrier(c),
@@ -100,7 +100,7 @@ func FragmentSizes(f *forest.Forest, seed int64, opts ...sim.Option) ([]int, *si
 }
 
 // childLinksOf resolves a node's tree children to local link indexes.
-func childLinksOf(c *sim.StepCtx, f *forest.Forest, kids []graph.NodeID) []int {
+func childLinksOf(c sim.Node, f *forest.Forest, kids []graph.NodeID) []int {
 	if len(kids) == 0 {
 		return nil
 	}

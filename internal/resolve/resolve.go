@@ -49,37 +49,9 @@ func Capetanakis(c *sim.Ctx, in sim.Input, idSpace int, contending bool, myID in
 // resolution finished. The §7.3 size-computation algorithm uses it to probe
 // whether at most 2^i fragments remain after phase i.
 func CapetanakisBounded(c *sim.Ctx, in sim.Input, idSpace int, contending bool, myID int, payload sim.Payload, maxSlots int) (sched []ScheduledItem, complete bool, out sim.Input) {
-	if idSpace < 1 {
-		idSpace = 1
-	}
-	type interval struct{ lo, hi int }
-	stack := []interval{{0, idSpace}}
-	for slots := 0; len(stack) > 0; slots++ {
-		if maxSlots > 0 && slots >= maxSlots {
-			return sched, false, in
-		}
-		top := stack[len(stack)-1]
-		if contending && myID >= top.lo && myID < top.hi {
-			c.Broadcast(wire{ID: myID, Data: payload})
-		}
-		in = c.Tick()
-		switch in.Slot.State {
-		case sim.SlotIdle:
-			stack = stack[:len(stack)-1]
-		case sim.SlotSuccess:
-			w := in.Slot.Payload.(wire)
-			sched = append(sched, ScheduledItem{ID: w.ID, Payload: w.Data})
-			if contending && w.ID == myID {
-				contending = false
-			}
-			stack = stack[:len(stack)-1]
-		case sim.SlotCollision:
-			mid := top.lo + (top.hi-top.lo)/2
-			stack[len(stack)-1] = interval{mid, top.hi}
-			stack = append(stack, interval{top.lo, mid})
-		}
-	}
-	return sched, true, in
+	s := NewCapetanakisStep(c, idSpace, contending, myID, payload, maxSlots)
+	out = drive(c, in, s.Begin(), s.Poll)
+	return s.Sched, s.Complete, out
 }
 
 // MetcalfeBoggs runs randomized contention resolution with paired slots:
@@ -95,43 +67,9 @@ func CapetanakisBounded(c *sim.Ctx, in sim.Input, idSpace int, contending bool, 
 // partition verifier, §4). With an accurate estimate the expected number of
 // pairs is O(k), matching the O(1) expected slots per root the paper cites.
 func MetcalfeBoggs(c *sim.Ctx, in sim.Input, estimate int, contending bool, myID int, payload sim.Payload, maxPairs int) (sched []ScheduledItem, done bool, out sim.Input) {
-	khat := estimate
-	if khat < 1 {
-		khat = 1
-	}
-	for pair := 0; maxPairs <= 0 || pair < maxPairs; pair++ {
-		// Contend slot.
-		if contending && c.Rand().Float64() < 1/float64(khat) {
-			c.Broadcast(wire{ID: myID, Data: payload})
-		}
-		in = c.Tick()
-		switch in.Slot.State {
-		case sim.SlotSuccess:
-			w := in.Slot.Payload.(wire)
-			sched = append(sched, ScheduledItem{ID: w.ID, Payload: w.Data})
-			if contending && w.ID == myID {
-				contending = false
-			}
-			if khat > 1 {
-				khat--
-			}
-		case sim.SlotCollision:
-			khat *= 2
-		case sim.SlotIdle:
-			if khat > 1 {
-				khat /= 2
-			}
-		}
-		// Liveness slot.
-		if contending {
-			c.Busy()
-		}
-		in = c.Tick()
-		if in.Slot.State == sim.SlotIdle {
-			return sched, true, in
-		}
-	}
-	return sched, false, in
+	s := NewMetcalfeBoggsStep(c, estimate, contending, myID, payload, maxPairs)
+	out = drive(c, in, s.Begin(), s.Poll)
+	return s.Sched, s.Done, out
 }
 
 // Election runs the bit-by-bit deterministic leader election of §2 over the
@@ -143,32 +81,10 @@ func MetcalfeBoggs(c *sim.Ctx, in sim.Input, estimate int, contending bool, myID
 // (returned as ok == false). Takes O(log idSpace) slots, the paper's
 // O(log n) deterministic election.
 func Election(c *sim.Ctx, in sim.Input, idSpace int, contending bool, myID int) (leader int, ok bool, out sim.Input) {
-	if contending {
-		c.Busy()
-	}
-	in = c.Tick()
-	if in.Slot.State == sim.SlotIdle {
-		return 0, false, in
-	}
-	bits := 0
-	for 1<<bits < idSpace {
-		bits++
-	}
-	leader = 0
-	surviving := contending
-	for b := bits - 1; b >= 0; b-- {
-		if surviving && myID&(1<<b) != 0 {
-			c.Busy()
-		}
-		in = c.Tick()
-		if in.Slot.State != sim.SlotIdle {
-			leader |= 1 << b
-			if surviving && myID&(1<<b) == 0 {
-				surviving = false
-			}
-		}
-	}
-	return leader, true, in
+	s := NewElectionStep(c, idSpace, contending, myID)
+	s.Begin()
+	out = drive(c, in, false, s.Poll)
+	return s.Leader, s.OK, out
 }
 
 // GreenbergLadner runs the randomized size-estimation protocol of §7.4:
@@ -177,26 +93,22 @@ func Election(c *sim.Ctx, in sim.Input, idSpace int, contending bool, myID int) 
 // returns the estimate 2^k. For k participants the estimate is within a
 // constant factor of k with high probability.
 func GreenbergLadner(c *sim.Ctx, in sim.Input, participating bool) (estimate int64, out sim.Input) {
-	for i := 1; ; i++ {
-		p := 1.0
-		for j := 0; j < i; j++ {
-			p /= 2
-		}
-		if participating && c.Rand().Float64() < p {
-			c.Busy()
-		}
-		in = c.Tick()
-		if in.Slot.State == sim.SlotIdle {
-			return int64(1) << uint(min(i, 62)), in
-		}
-	}
+	s := NewGreenbergLadnerStep(c, participating)
+	s.Begin()
+	out = drive(c, in, false, s.Poll)
+	return s.Estimate, out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// drive runs a step component to completion on a blocking Ctx: done is what
+// the component's Begin reported, and each later round's input goes to poll
+// until it reports done. It returns the input of the round the protocol
+// ended in.
+func drive(c *sim.Ctx, in sim.Input, done bool, poll func(sim.Input) bool) sim.Input {
+	for !done {
+		in = c.Tick()
+		done = poll(in)
 	}
-	return b
+	return in
 }
 
 // RandomizedElection elects a leader among the contenders using randomness

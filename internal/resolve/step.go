@@ -1,18 +1,17 @@
 package resolve
 
-// step.go provides the native step-machine forms of the conflict-resolution
-// sub-protocols: the same slot-for-slot automata as the blocking versions in
-// resolve.go, restructured as per-round components a sim.Machine embeds.
+// step.go holds the conflict-resolution sub-protocols themselves, each a
+// per-round component a sim.Machine embeds. The blocking forms in
+// resolve.go are thin loops over these components, so every protocol's
+// slot logic is written once.
 //
 // Usage pattern: the machine calls Begin once, in the round the protocol
-// starts (its broadcasts are staged in that round, exactly like the code a
-// goroutine program runs before the sub-protocol's first Tick), then feeds
-// every subsequent round's Input through Poll until it reports done. When
-// Poll reports done the machine continues its own next stage in the same
-// Step call with the same Input — the exact alignment of a goroutine
-// program continuing after the sub-routine returns. Because the only
-// information consumed is the public slot sequence, a component-driven run
-// is transcript-identical to its blocking counterpart.
+// starts (its broadcasts are staged in that round), then feeds every
+// subsequent round's Input through Poll until it reports done. When Poll
+// reports done the machine continues its own next stage in the same Step
+// call with the same Input. The only information consumed is the public
+// slot sequence, so every node finishes in the same round with the same
+// result.
 
 import (
 	"repro/internal/sim"
@@ -21,12 +20,12 @@ import (
 // interval is one id range on the Capetanakis splitting stack.
 type interval struct{ lo, hi int }
 
-// CapetanakisStep is the per-round form of CapetanakisBounded (and, with
-// MaxSlots 0, of Capetanakis). After Poll reports done, Sched holds the
-// schedule and Complete reports whether the resolution finished within the
-// slot budget.
+// CapetanakisStep is the Capetanakis tree-splitting resolution (see
+// CapetanakisBounded). After Poll reports done, Sched holds the schedule
+// and Complete reports whether the resolution finished within the slot
+// budget.
 type CapetanakisStep struct {
-	c *sim.StepCtx
+	c sim.Node
 
 	Sched    []ScheduledItem
 	Complete bool
@@ -43,7 +42,7 @@ type CapetanakisStep struct {
 
 // NewCapetanakisStep returns the component in its pre-Begin state. The
 // parameters mirror CapetanakisBounded; maxSlots <= 0 means no budget.
-func NewCapetanakisStep(c *sim.StepCtx, idSpace int, contending bool, myID int, payload sim.Payload, maxSlots int) *CapetanakisStep {
+func NewCapetanakisStep(c sim.Node, idSpace int, contending bool, myID int, payload sim.Payload, maxSlots int) *CapetanakisStep {
 	if idSpace < 1 {
 		idSpace = 1
 	}
@@ -61,9 +60,8 @@ func (s *CapetanakisStep) Begin() (done bool) {
 	return s.transmit()
 }
 
-// transmit runs the pre-Tick half of one loop iteration of the blocking
-// form: give up if the budget is spent, finish if the stack is empty,
-// otherwise contend in the top interval.
+// transmit opens one slot: give up if the budget is spent, finish if the
+// stack is empty, otherwise contend in the top interval.
 func (s *CapetanakisStep) transmit() (done bool) {
 	if len(s.stack) == 0 {
 		s.Complete = true
@@ -102,11 +100,10 @@ func (s *CapetanakisStep) Poll(in sim.Input) (done bool) {
 	return s.transmit()
 }
 
-// ElectionStep is the per-round form of Election: the bit-by-bit
-// deterministic leader election of §2. After Poll reports done, Leader and
-// OK hold the result.
+// ElectionStep is the bit-by-bit deterministic leader election of §2 (see
+// Election). After Poll reports done, Leader and OK hold the result.
 type ElectionStep struct {
-	c *sim.StepCtx
+	c sim.Node
 
 	Leader int
 	OK     bool
@@ -120,7 +117,7 @@ type ElectionStep struct {
 }
 
 // NewElectionStep returns the component in its pre-Begin state.
-func NewElectionStep(c *sim.StepCtx, idSpace int, contending bool, myID int) *ElectionStep {
+func NewElectionStep(c sim.Node, idSpace int, contending bool, myID int) *ElectionStep {
 	return &ElectionStep{c: c, idSpace: idSpace, contending: contending, myID: myID, bit: -1}
 }
 
@@ -163,20 +160,21 @@ func (s *ElectionStep) Poll(in sim.Input) (done bool) {
 	return false
 }
 
-// GreenbergLadnerStep is the per-round form of GreenbergLadner: the §7.4
-// randomized size estimator. After Poll reports done, Estimate holds 2^k.
-// The RNG draw order matches the blocking form exactly.
+// GreenbergLadnerStep is the §7.4 randomized size estimator (see
+// GreenbergLadner). After Poll reports done, Estimate holds 2^k. Probe is
+// the index of the probe awaiting its outcome, exported with Estimate so a
+// checkpointing machine can save and restore the component.
 type GreenbergLadnerStep struct {
-	c *sim.StepCtx
+	c sim.Node
 
 	Estimate int64
+	Probe    int
 
 	participating bool
-	i             int
 }
 
 // NewGreenbergLadnerStep returns the component in its pre-Begin state.
-func NewGreenbergLadnerStep(c *sim.StepCtx, participating bool) *GreenbergLadnerStep {
+func NewGreenbergLadnerStep(c sim.Node, participating bool) *GreenbergLadnerStep {
 	return &GreenbergLadnerStep{c: c, participating: participating}
 }
 
@@ -184,9 +182,9 @@ func NewGreenbergLadnerStep(c *sim.StepCtx, participating bool) *GreenbergLadner
 func (s *GreenbergLadnerStep) Begin() { s.transmit() }
 
 func (s *GreenbergLadnerStep) transmit() {
-	s.i++
+	s.Probe++
 	p := 1.0
-	for j := 0; j < s.i; j++ {
+	for j := 0; j < s.Probe; j++ {
 		p /= 2
 	}
 	if s.participating && s.c.Rand().Float64() < p {
@@ -197,19 +195,19 @@ func (s *GreenbergLadnerStep) transmit() {
 // Poll consumes one probe outcome and stages the next probe.
 func (s *GreenbergLadnerStep) Poll(in sim.Input) (done bool) {
 	if in.Slot.State == sim.SlotIdle {
-		s.Estimate = int64(1) << uint(min(s.i, 62))
+		s.Estimate = int64(1) << uint(min(s.Probe, 62))
 		return true
 	}
 	s.transmit()
 	return false
 }
 
-// MetcalfeBoggsStep is the per-round form of MetcalfeBoggs: randomized
-// contention resolution with paired data/liveness slots. After Poll reports
+// MetcalfeBoggsStep is randomized contention resolution with paired
+// data/liveness slots (see MetcalfeBoggs). After Poll reports
 // done, Sched holds the schedule and Done whether every contender was
 // scheduled within the pair budget.
 type MetcalfeBoggsStep struct {
-	c *sim.StepCtx
+	c sim.Node
 
 	Sched []ScheduledItem
 	Done  bool
@@ -226,7 +224,7 @@ type MetcalfeBoggsStep struct {
 
 // NewMetcalfeBoggsStep returns the component in its pre-Begin state; the
 // parameters mirror MetcalfeBoggs.
-func NewMetcalfeBoggsStep(c *sim.StepCtx, estimate int, contending bool, myID int, payload sim.Payload, maxPairs int) *MetcalfeBoggsStep {
+func NewMetcalfeBoggsStep(c sim.Node, estimate int, contending bool, myID int, payload sim.Payload, maxPairs int) *MetcalfeBoggsStep {
 	khat := estimate
 	if khat < 1 {
 		khat = 1

@@ -17,8 +17,8 @@ func withEngine(t *testing.T, e sim.Engine, f func()) {
 	f()
 }
 
-// TestElectEngineEquivalence: the native election machine must elect the
-// same leader with identical metrics as the blocking form.
+// TestElectEngineEquivalence: the election machine must elect the same
+// leader with identical metrics on the goroutine engine and the step engine.
 func TestElectEngineEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 33, 64} {
 		g, err := graph.Ring(max(n, 3), 1)
@@ -45,16 +45,44 @@ func TestElectEngineEquivalence(t *testing.T) {
 	}
 }
 
-// capProbe runs Capetanakis with a subset of contenders on both engines and
-// compares schedule and metrics.
-func TestCapetanakisStepEquivalence(t *testing.T) {
+// runBothEngines runs prog on the goroutine engine and the step engine and
+// requires identical results and metrics.
+func runBothEngines(t *testing.T, g graph.Topology, seed int64, prog sim.StepProgram) *sim.Result {
+	t.Helper()
+	var out [2]*sim.Result
+	for i, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineStep} {
+		res, err := sim.RunStep(g, prog, sim.WithSeed(seed), sim.WithEngine(e))
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		out[i] = res
+	}
+	if !reflect.DeepEqual(out[0].Results, out[1].Results) {
+		t.Errorf("seed %d: results diverge:\n goroutine: %#v\n step:      %#v", seed, out[0].Results, out[1].Results)
+	}
+	if !reflect.DeepEqual(out[0].Metrics, out[1].Metrics) {
+		t.Errorf("seed %d: metrics diverge:\n goroutine: %+v\n step:      %+v", seed, out[0].Metrics, out[1].Metrics)
+	}
+	return out[1]
+}
+
+// TestCapetanakisEngineEquivalence runs Capetanakis with a subset of
+// contenders on both engines, and through the blocking form, and compares
+// schedule and metrics.
+func TestCapetanakisEngineEquivalence(t *testing.T) {
 	g, err := graph.Ring(24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	contender := func(id graph.NodeID) bool { return id%3 == 0 }
+	stRes := runBothEngines(t, g, 1, func(c sim.Node) sim.Machine {
+		return &capTestMachine{s: NewCapetanakisStep(c, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10, 0)}
+	})
+	if sched := stRes.Results[0].([]ScheduledItem); len(sched) != 8 {
+		t.Errorf("scheduled %d contenders, want 8", len(sched))
+	}
 
-	goRes, err := sim.Run(g, func(c *sim.Ctx) error {
+	blkRes, err := sim.Run(g, func(c *sim.Ctx) error {
 		sched, _ := Capetanakis(c, sim.Input{}, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10)
 		c.SetResult(sched)
 		return nil
@@ -62,24 +90,12 @@ func TestCapetanakisStepEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	stRes, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
-		return &capTestMachine{c: c, s: NewCapetanakisStep(c, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10, 0)}
-	}, sim.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(goRes.Results, stRes.Results) {
-		t.Errorf("schedules diverge:\n goroutine: %#v\n step:      %#v", goRes.Results, stRes.Results)
-	}
-	if !reflect.DeepEqual(goRes.Metrics, stRes.Metrics) {
-		t.Errorf("metrics diverge:\n goroutine: %+v\n step:      %+v", goRes.Metrics, stRes.Metrics)
+	if !reflect.DeepEqual(blkRes.Results, stRes.Results) || !reflect.DeepEqual(blkRes.Metrics, stRes.Metrics) {
+		t.Errorf("blocking form diverges from the machine:\n blocking: %+v\n machine:  %+v", blkRes.Metrics, stRes.Metrics)
 	}
 }
 
 type capTestMachine struct {
-	c     *sim.StepCtx
 	s     *CapetanakisStep
 	sched any
 }
@@ -101,15 +117,18 @@ func (m *capTestMachine) Step(in sim.Input) bool {
 
 func (m *capTestMachine) Result() any { return m.sched }
 
-// TestMetcalfeBoggsStepEquivalence compares the randomized contention
-// component draw-for-draw with the blocking form.
-func TestMetcalfeBoggsStepEquivalence(t *testing.T) {
+// TestMetcalfeBoggsEngineEquivalence compares the randomized contention
+// component draw-for-draw across engines and with the blocking form.
+func TestMetcalfeBoggsEngineEquivalence(t *testing.T) {
 	g, err := graph.Ring(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 7, 99} {
-		goRes, err := sim.Run(g, func(c *sim.Ctx) error {
+		stRes := runBothEngines(t, g, seed, func(c sim.Node) sim.Machine {
+			return &mbTestMachine{s: NewMetcalfeBoggsStep(c, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)}
+		})
+		blkRes, err := sim.Run(g, func(c *sim.Ctx) error {
 			sched, done, _ := MetcalfeBoggs(c, sim.Input{}, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)
 			c.SetResult([]any{sched, done})
 			return nil
@@ -117,17 +136,8 @@ func TestMetcalfeBoggsStepEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stRes, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
-			return &mbTestMachine{s: NewMetcalfeBoggsStep(c, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)}
-		}, sim.WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(goRes.Results, stRes.Results) {
-			t.Errorf("seed %d: schedules diverge", seed)
-		}
-		if !reflect.DeepEqual(goRes.Metrics, stRes.Metrics) {
-			t.Errorf("seed %d: metrics diverge:\n goroutine: %+v\n step:      %+v", seed, goRes.Metrics, stRes.Metrics)
+		if !reflect.DeepEqual(blkRes.Results, stRes.Results) || !reflect.DeepEqual(blkRes.Metrics, stRes.Metrics) {
+			t.Errorf("seed %d: blocking form diverges from the machine", seed)
 		}
 	}
 }
@@ -153,10 +163,3 @@ func (m *mbTestMachine) Step(in sim.Input) bool {
 }
 
 func (m *mbTestMachine) Result() any { return m.out }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -9,7 +9,6 @@ package sim
 // the goroutine engine, so both engines produce bit-identical runs.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -22,7 +21,8 @@ func runStepAdapter(g graph.Topology, program Program, cfg config) (*Result, err
 		// stacks cannot be serialized; only native step programs checkpoint.
 		return nil, ErrNotCheckpointable
 	}
-	prog := func(sc *StepCtx) Machine {
+	prog := func(c Node) Machine {
+		sc := c.(*StepCtx)
 		ctx := newCtx(g, sc.id, cfg.seed)
 		// The engine owns the RNG derivation: a crash-restarted node's
 		// program must see the incarnation's seed, not the original's
@@ -91,10 +91,8 @@ func (m *goroutineMachine) commitOutputs() {
 func (m *goroutineMachine) runProgram() {
 	defer func() {
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-				// Clean abort unwind; the primary error is already recorded.
-			} else {
-				m.sc.eng.recordErr(m.ctx.id, fmt.Errorf("sim: node %d panicked: %v", m.ctx.id, r))
+			if err := nodeFailure(m.ctx.id, r); err != nil {
+				m.sc.eng.recordErr(m.ctx.id, err)
 			}
 		}
 		m.ctx.done <- false

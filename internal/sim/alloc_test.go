@@ -14,7 +14,7 @@ import (
 // dietMachine is an allocation-free relay: every node forwards a constant
 // payload on link 0 each round until the target round.
 type dietMachine struct {
-	c      *StepCtx
+	c      Node
 	rounds int
 }
 
@@ -34,7 +34,7 @@ func stepAllocsPerRound(t *testing.T, workers int) float64 {
 	g := ring(t, n)
 	allocsAt := func(rounds int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			res, err := RunStep(g, func(c *StepCtx) Machine {
+			res, err := RunStep(g, func(c Node) Machine {
 				return dietMachine{c: c, rounds: rounds}
 			}, WithWorkers(workers))
 			if err != nil {

@@ -265,17 +265,28 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if size > 1<<34 {
 		return nil, fmt.Errorf("sim: checkpoint length %d implausible", size)
 	}
-	body := make([]byte, size+4)
-	if _, err := io.ReadFull(r, body); err != nil {
+	chunks, err := readBody(r, size)
+	var trailer [4]byte
+	if err == nil {
+		if _, err = io.ReadFull(r, trailer[:]); err == io.EOF && size > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint body: %w", err)
 	}
-	want := binary.LittleEndian.Uint32(body[size:])
-	body = body[:size]
-	if got := crc32.ChecksumIEEE(body); got != want {
+	// The body is checked and decoded straight from its chunks.
+	var got uint32
+	parts := make([]io.Reader, len(chunks))
+	for i, c := range chunks {
+		got = crc32.Update(got, crc32.IEEETable, c)
+		parts[i] = bytes.NewReader(c)
+	}
+	if want := binary.LittleEndian.Uint32(trailer[:]); got != want {
 		return nil, fmt.Errorf("sim: checkpoint crc mismatch: %08x != %08x", got, want)
 	}
 	cp := &Checkpoint{}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(cp); err != nil {
+	if err := gob.NewDecoder(io.MultiReader(parts...)).Decode(cp); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
 	return cp, nil

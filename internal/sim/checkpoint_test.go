@@ -24,7 +24,7 @@ type ckptToken struct{ V int64 }
 // point-to-point sends (inboxes and, under a delay/dup plan, the pending
 // buffer), channel writes (slot state), and data-dependent halting.
 type ckptMachine struct {
-	c      *StepCtx
+	c      Node
 	rounds int
 	sum    uint64
 	limit  int
@@ -68,7 +68,7 @@ func init() {
 }
 
 func ckptProgram(limit int) StepProgram {
-	return func(c *StepCtx) Machine { return &ckptMachine{c: c, limit: limit} }
+	return func(c Node) Machine { return &ckptMachine{c: c, limit: limit} }
 }
 
 // collectCheckpoints is a CheckpointSpec sink gathering every capture.
@@ -264,7 +264,7 @@ func TestCheckpointDuringFastForward(t *testing.T) {
 	// to the round budget and fails with ErrMaxRounds; checkpoints are still
 	// due inside the skipped stretch (ffTarget clamps to them), and resuming
 	// from one must reproduce the identical wedged transcript and error.
-	prog := func(c *StepCtx) Machine { return &sleeperMachine{c: c} }
+	prog := func(c Node) Machine { return &sleeperMachine{c: c} }
 	g := ring(t, 4)
 	ref, _, err := runStepTranscript(t, g, prog, WithSeed(1), WithMaxRounds(40), WithWorkers(1))
 	if !errors.Is(err, ErrMaxRounds) {
@@ -289,7 +289,7 @@ func TestCheckpointDuringFastForward(t *testing.T) {
 // sleeperMachine wedges the network: node 0 halts at once, everyone else
 // sleeps forever. Its state is empty, which also covers nil Snapshotter
 // states through the checkpoint encoding.
-type sleeperMachine struct{ c *StepCtx }
+type sleeperMachine struct{ c Node }
 
 func (m *sleeperMachine) Step(Input) bool {
 	if m.c.ID() == 0 {
@@ -307,7 +307,7 @@ func TestCheckpointGobFallbackMachine(t *testing.T) {
 	// A machine with exported state but no Snapshotter checkpoints through
 	// the gob fallback.
 	g := ring(t, 6)
-	prog := func(c *StepCtx) Machine { return &gobFallbackMachine{c: c} }
+	prog := func(c Node) Machine { return &gobFallbackMachine{c: c} }
 	ref, want, err := runStepTranscript(t, g, prog, WithSeed(5), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestCheckpointGobFallbackMachine(t *testing.T) {
 }
 
 type gobFallbackMachine struct {
-	c     *StepCtx
+	c     Node
 	Count int
 	Acc   int64
 }
@@ -363,9 +363,13 @@ func TestCheckpointRejectedModes(t *testing.T) {
 			t.Errorf("engine %v with checkpoints: err = %v, want ErrNotCheckpointable", eng, err)
 		}
 	}
+	// Checkpointing is a step-engine capability, native machines included.
+	if _, err := RunStep(g, ckptProgram(4), WithEngine(EngineGoroutine), WithCheckpoints(spec)); !errors.Is(err, ErrNotCheckpointable) {
+		t.Errorf("machine on the goroutine engine with checkpoints: err = %v, want ErrNotCheckpointable", err)
+	}
 	// A closure-state machine can neither snapshot nor gob-encode: the run
 	// must fail with a diagnostic, not capture garbage.
-	_, err := RunStep(g, func(c *StepCtx) Machine {
+	_, err := RunStep(g, func(c Node) Machine {
 		n := 0
 		return &stepFuncs{step: func(Input) bool { n++; return n > 5 }}
 	}, WithCheckpoints(&CheckpointSpec{At: []int{2}, Sink: func(*Checkpoint) error { return nil }}))

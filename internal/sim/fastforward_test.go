@@ -44,7 +44,7 @@ func runFFBoth(t *testing.T, g *graph.Graph, prog StepProgram, opts ...Option) f
 }
 
 // sleepForeverProg parks every node forever: the canonical wedge.
-func sleepForeverProg(c *StepCtx) Machine {
+func sleepForeverProg(c Node) Machine {
 	return &stepFuncs{step: func(Input) bool {
 		c.Sleep()
 		return false
@@ -54,7 +54,7 @@ func sleepForeverProg(c *StepCtx) Machine {
 // oneShotProg has node 0 send to node 1 in round 0 and halt; node 1 sleeps
 // until it has received want messages, then halts with the count.
 func oneShotProg(want int) StepProgram {
-	return func(c *StepCtx) Machine {
+	return func(c Node) Machine {
 		count := 0
 		return &stepFuncs{
 			step: func(in Input) bool {
@@ -150,7 +150,7 @@ func TestFastForwardPulseWakeAfterJamWindow(t *testing.T) {
 	// wake the sleepers at exactly the same round.
 	g := ring(t, 6)
 	plan := (&fault.Plan{Seed: 1}).Add(fault.Rule{Kind: fault.Jam, From: 1, Until: 25})
-	prog := func(c *StepCtx) Machine {
+	prog := func(c Node) Machine {
 		return &stepFuncs{
 			step: func(in Input) bool {
 				if in.Round > 0 && in.IsPulse() {

@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -260,7 +261,7 @@ func TestFaultNativeSleepDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		prog := func(c *StepCtx) Machine {
+		prog := func(c Node) Machine {
 			return &sleepDelayMachine{c: c}
 		}
 		res, err := RunStep(g, prog, WithSeed(1), WithWorkers(workers), WithFaults(plan))
@@ -278,7 +279,7 @@ func TestFaultNativeSleepDelay(t *testing.T) {
 }
 
 type sleepDelayMachine struct {
-	c    *StepCtx
+	c    Node
 	woke int
 }
 
@@ -489,6 +490,64 @@ func TestFaultRestart(t *testing.T) {
 	if res.Metrics.Crashed != 1 || res.Metrics.Restarted != 1 {
 		t.Errorf("Crashed, Restarted = %d, %d, want 1, 1",
 			res.Metrics.Crashed, res.Metrics.Restarted)
+	}
+}
+
+// TestMachineRestartOnBothEngines: a restart revival re-runs a StepProgram's
+// init hook on either engine — in node order on the scheduler, so the hook's
+// unsynchronized bookkeeping is race-free — with the incarnation's RNG
+// stream, and an init hook that fails on revival aborts the run with the
+// same error on both engines.
+func TestMachineRestartOnBothEngines(t *testing.T) {
+	g := path(t, 3)
+	plan, err := fault.Parse("crash:2@3;restart:2@6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := func(refuseRevival bool) StepProgram {
+		built := map[graph.NodeID]int{}
+		return func(c Node) Machine {
+			built[c.ID()]++
+			if refuseRevival && built[c.ID()] > 1 {
+				c.Failf("revival %d refused", built[c.ID()]-1)
+			}
+			probe := c.Rand().Int63()
+			var heard []int64
+			return &stepFuncs{
+				step: func(in Input) bool {
+					for _, m := range in.Msgs {
+						heard = append(heard, m.Payload.(int64))
+					}
+					if c.ID() == 2 && in.Round == 0 {
+						c.SendTo(1, probe)
+					}
+					return in.Round == 10
+				},
+				result: func() any { return fmt.Sprint(heard) },
+			}
+		}
+	}
+	var results [2]*Result
+	for i, e := range []Engine{EngineGoroutine, EngineStep} {
+		res, err := RunStep(g, prog(false), WithFaults(plan), WithEngine(e))
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		if res.Metrics.Restarted != 1 {
+			t.Errorf("%v: Restarted = %d, want 1", e, res.Metrics.Restarted)
+		}
+		results[i] = res
+		const want = "sim: node 2: revival 1 refused"
+		if _, err := RunStep(g, prog(true), WithFaults(plan), WithEngine(e)); err == nil || err.Error() != want {
+			t.Errorf("%v: refused revival: err = %v, want %q", e, err, want)
+		}
+	}
+	if !reflect.DeepEqual(results[0].Results, results[1].Results) || results[0].Metrics != results[1].Metrics {
+		t.Errorf("engines diverge:\n goroutine: %v %+v\n step:      %v %+v",
+			results[0].Results, results[0].Metrics, results[1].Results, results[1].Metrics)
+	}
+	if heard := results[1].Results[1].(string); len(strings.Fields(heard)) != 2 {
+		t.Errorf("node 1 heard %s, want one probe per incarnation of node 2", heard)
 	}
 }
 

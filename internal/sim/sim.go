@@ -31,9 +31,11 @@
 //     the work done, not nodes × rounds. This is the engine for
 //     million-node simulations.
 //
-// Run(..., WithEngine(EngineStep)) executes an unmodified goroutine Program
-// on the step engine through a built-in adapter, so every existing protocol
-// works on both engines and produces identical results and metrics.
+// Both entry points take either engine. Run(..., WithEngine(EngineStep))
+// executes a goroutine Program on the step engine through a built-in
+// adapter; RunStep(..., WithEngine(EngineGoroutine)) drives a step program's
+// machines from node goroutines, one Step per Tick, every node every round.
+// Either way the results and metrics are identical.
 //
 // # Determinism contract
 //
@@ -266,7 +268,7 @@ func (c *config) resolveMaxRounds(g graph.Topology) {
 }
 
 // WithEngine selects the execution model for this run; without it Run uses
-// DefaultEngine. RunStep ignores it (it is always the step engine).
+// DefaultEngine and RunStep the step engine.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithWorkers sets the step engine's worker count; 0 means DefaultWorkers
@@ -413,6 +415,20 @@ func (c *Ctx) Broadcast(p Payload) {
 // Busy transmits a busy tone on the channel this round (§7.1 barrier).
 func (c *Ctx) Busy() { c.Broadcast(BusyTone{}) }
 
+// Sleep is a no-op: the goroutine engine steps every node every round.
+func (c *Ctx) Sleep() {}
+
+// SleepUntilPulse is a no-op, like Sleep.
+func (c *Ctx) SleepUntilPulse() {}
+
+// Failf aborts the run with an error attributed to this node, exactly as
+// StepCtx.Failf does.
+func (c *Ctx) Failf(format string, args ...any) {
+	panic(failError{err: fmt.Errorf(format, args...)})
+}
+
+func (c *Ctx) wroteChannel() bool { return c.chPending }
+
 // SetResult records this node's final output, retrievable from Run's Results.
 func (c *Ctx) SetResult(v any) { c.result = v }
 
@@ -478,9 +494,41 @@ func Run(g graph.Topology, program Program, opts ...Option) (*Result, error) {
 	case EngineStep:
 		return runStepAdapter(g, program, cfg)
 	case EngineGoroutine:
-		return runGoroutine(g, program, cfg)
+		return runGoroutine(g, func(*Ctx) (Program, error) { return program, nil }, cfg)
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %d", engine)
+	}
+}
+
+// binder returns the Program one node's goroutine runs, on the scheduler,
+// before the goroutine starts. Binding happens in node order — and again for
+// every restart revival — so a StepProgram's init hook sees exactly the
+// calls it sees on the step engine.
+type binder func(ctx *Ctx) (Program, error)
+
+// bindMachine builds the node's machine with program and returns the
+// Program that drives it: one Step per round, each Tick's input fed to the
+// next.
+func bindMachine(program StepProgram) binder {
+	return func(ctx *Ctx) (body Program, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = nodeFailure(ctx.id, r)
+			}
+		}()
+		m := program(ctx)
+		if m == nil {
+			return nil, fmt.Errorf("sim: step program returned a nil machine for node %d", ctx.id)
+		}
+		if len(ctx.out) > 0 || ctx.chPending {
+			return nil, fmt.Errorf("sim: step program for node %d sent or wrote the channel during init", ctx.id)
+		}
+		return func(ctx *Ctx) error {
+			for in := (Input{}); !m.Step(in); in = ctx.Tick() {
+			}
+			ctx.SetResult(m.Result())
+			return nil
+		}, nil
 	}
 }
 
@@ -493,7 +541,7 @@ type pendingMsg struct {
 
 // runGoroutine is the historical engine: one goroutine per node, resumed
 // round by round from a single scheduler loop.
-func runGoroutine(g graph.Topology, program Program, cfg config) (*Result, error) {
+func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
 	if cfg.ckpt != nil || cfg.resume != nil {
 		// Goroutine stacks cannot be serialized; checkpointing is a step
 		// engine capability (Resume always runs the step engine).
@@ -504,6 +552,14 @@ func runGoroutine(g graph.Topology, program Program, cfg config) (*Result, error
 		return nil, err
 	}
 	n := g.N()
+	ctxs := make([]*Ctx, n)
+	bodies := make([]Program, n)
+	for v := 0; v < n; v++ {
+		ctxs[v] = newCtx(g, graph.NodeID(v), cfg.seed)
+		if bodies[v], err = bind(ctxs[v]); err != nil {
+			return nil, err
+		}
+	}
 	rec := cfg.recorder()
 	if rec != nil {
 		rec.RunStart(n, EngineGoroutine, 1, 1)
@@ -511,10 +567,6 @@ func runGoroutine(g graph.Topology, program Program, cfg config) (*Result, error
 	tw := cfg.transcript()
 	if tw != nil {
 		tw.begin(n, cfg.seed, cfg.planString(), "")
-	}
-	ctxs := make([]*Ctx, n)
-	for v := 0; v < n; v++ {
-		ctxs[v] = newCtx(g, graph.NodeID(v), cfg.seed)
 	}
 
 	var (
@@ -536,29 +588,27 @@ func runGoroutine(g graph.Topology, program Program, cfg config) (*Result, error
 	}
 
 	// spawn launches one node goroutine (initial start and restart revivals
-	// share it): run the program, record the first error, and always hand
-	// the scheduler a final halt signal.
-	spawn := func(ctx *Ctx) {
+	// share it): run the body, record the first error, and always hand the
+	// scheduler a final halt signal.
+	spawn := func(ctx *Ctx, body Program) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-						// Clean abort unwind; the primary error is already recorded.
-					} else {
-						recordErr(ctx.id, fmt.Errorf("sim: node %d panicked: %v", ctx.id, r))
+					if err := nodeFailure(ctx.id, r); err != nil {
+						recordErr(ctx.id, err)
 					}
 				}
 				ctx.done <- false
 			}()
-			if err := program(ctx); err != nil {
+			if err := body(ctx); err != nil {
 				recordErr(ctx.id, fmt.Errorf("sim: node %d: %w", ctx.id, err))
 			}
 		}()
 	}
 	for v := 0; v < n; v++ {
-		spawn(ctxs[v])
+		spawn(ctxs[v], bodies[v])
 	}
 
 	res := &Result{Results: make([]any, n)}
@@ -596,11 +646,18 @@ func runGoroutine(g graph.Topology, program Program, cfg config) (*Result, error
 			roundBase[v] = round
 			ctx := newCtx(g, v, cfg.seed)
 			ctx.rngSeed = nodeSeedAt(cfg.seed, v, incarnation[v])
+			body, err := bind(ctx)
+			if err != nil {
+				// The revival failed to build: the node stays down for
+				// good and the run aborts at the end of this round.
+				recordErr(v, err)
+				continue
+			}
 			ctxs[v] = ctx
 			alive[v] = true
 			aliveCount++
 			met.Restarted++
-			spawn(ctx)
+			spawn(ctx, body)
 		}
 		var tStep, tDeliver int64
 		if rec != nil {

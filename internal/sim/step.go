@@ -139,8 +139,42 @@ type Machine interface {
 // per node, in node order, before round 0, and returns the node's Machine.
 // Implementations typically capture c and per-node protocol state in the
 // returned machine. It must not send or write the channel; it may draw from
-// c.Rand.
-type StepProgram func(c *StepCtx) Machine
+// c.Rand. The same program runs on either engine (RunStep's WithEngine):
+// c is a *StepCtx on the step engine and a *Ctx on the goroutine engine.
+type StepProgram func(c Node) Machine
+
+// Node is a node's handle to the network as a Machine sees it: the surface
+// *StepCtx and *Ctx share. Under the step engine Sleep and SleepUntilPulse
+// park the node; the goroutine engine steps every machine every round, so
+// there they are no-ops. A machine must therefore be indifferent to the
+// rounds it sleeps through: a round with no messages (or, under
+// SleepUntilPulse, a busy slot) must change none of its state. The goroutine
+// engine is the oracle that checks it — a machine that breaks the contract
+// diverges between the engines. Node is implemented only by the engines'
+// handles.
+type Node interface {
+	ID() graph.NodeID
+	N() int
+	Topo() graph.Topology
+	Adj() []graph.Half
+	Degree() int
+	Round() int
+	Rand() *rand.Rand
+	LinkOf(edgeID int) int
+	Link(to graph.NodeID) (int, bool)
+	Send(link int, p Payload)
+	SendTo(to graph.NodeID, p Payload)
+	Broadcast(p Payload)
+	Busy()
+	SentThisRound() bool
+	Sleep()
+	SleepUntilPulse()
+	Failf(format string, args ...any)
+
+	// wroteChannel reports whether the node staged a channel write this
+	// round (StepBarrier parks only nodes that did not).
+	wroteChannel() bool
+}
 
 // stagedSend is one queued point-to-point message in a shard's staging
 // buffer. link is the sender-local link index (used to reset the duplicate-
@@ -177,9 +211,9 @@ const (
 	flagCrashed // fault-crashed (revivable by a restart rule), not a normal halt
 )
 
-// StepCtx is a node's handle to the network under the step engine: the same
-// API surface as Ctx minus Tick (the engine calls Machine.Step instead),
-// plus Sleep. It is a 16-byte (id, engine) pair — all per-node state lives
+// StepCtx is a node's handle to the network under the step engine, the
+// Node a machine receives there (the engine calls Machine.Step instead of
+// a Tick). It is a 16-byte (id, engine) pair — all per-node state lives
 // in the engine's parallel arrays and the shard's scratch. All methods must
 // be called only from the node's Machine during Step (or from its
 // StepProgram during construction, for the read-only ones). Methods panic
@@ -402,6 +436,9 @@ func (c *StepCtx) Busy() { c.Broadcast(BusyTone{}) }
 // SentThisRound reports whether this node queued any point-to-point message
 // in the current round.
 func (c *StepCtx) SentThisRound() bool { return len(c.shard().stage) > 0 }
+
+//mmlint:noalloc
+func (c *StepCtx) wroteChannel() bool { return c.shard().chPending }
 
 // Sleep parks this node after the current Step returns: the engine skips it
 // every round until a message arrives, at which point it is woken and
@@ -680,16 +717,26 @@ var disableFastForward bool
 // RunStep executes one Machine per node of g — any graph.Topology form —
 // until all machines halt, and returns aggregate metrics and per-node
 // results — the native entry point of the step engine. Options are shared
-// with Run; WithEngine is ignored. On an implicit topology the engine keeps
-// only per-node state: the topology itself contributes O(1) memory, which
-// is what makes 10⁷–10⁸-node runs fit.
+// with Run. The step engine runs unless WithEngine(EngineGoroutine) selects
+// the goroutine engine, which steps every machine every round from its own
+// goroutine — the oracle the step engine's sleep and fast-forward paths are
+// checked against. On an implicit topology the step engine keeps only
+// per-node state: the topology itself contributes O(1) memory, which is
+// what makes 10⁷–10⁸-node runs fit.
 func RunStep(g graph.Topology, program StepProgram, opts ...Option) (*Result, error) {
 	cfg := config{seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	cfg.resolveMaxRounds(g)
-	return runStepEngine(g, program, cfg)
+	switch cfg.engine {
+	case 0, EngineStep:
+		return runStepEngine(g, program, cfg)
+	case EngineGoroutine:
+		return runGoroutine(g, bindMachine(program), cfg)
+	default:
+		return nil, fmt.Errorf("sim: unknown engine %d", cfg.engine)
+	}
 }
 
 // runStepEngine builds the engine, applies a resume checkpoint when one is
@@ -965,7 +1012,7 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 			// stretches — including a genuine wedge spinning to ErrMaxRounds
 			// — cost O(1) instead of O(shards) per round while keeping
 			// transcripts and Metrics bit-identical with the per-round path
-			// (and with the goroutine form of the protocol). With a
+			// (and with the goroutine engine). With a
 			// transcript installed the traced variant synthesizes the skipped
 			// rounds' frames instead, so the stream stays byte-identical to a
 			// per-round engine's.

@@ -24,7 +24,7 @@ func (m *stepFuncs) Result() any {
 }
 
 func TestStepImmediateHalt(t *testing.T) {
-	res, err := RunStep(ring(t, 5), func(c *StepCtx) Machine {
+	res, err := RunStep(ring(t, 5), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool { return true }}
 	})
 	if err != nil {
@@ -39,7 +39,7 @@ func TestStepMessageDeliveryAndSorting(t *testing.T) {
 	// All ring neighbors of node 0 send to it in round 0; its round-1 inbox
 	// must hold both messages sorted by sender.
 	g := ring(t, 6)
-	res, err := RunStep(g, func(c *StepCtx) Machine {
+	res, err := RunStep(g, func(c Node) Machine {
 		return &stepFuncs{step: func(in Input) bool {
 			switch in.Round {
 			case 0:
@@ -83,7 +83,7 @@ func TestStepChannelResolution(t *testing.T) {
 			for _, w := range tt.writers {
 				writerSet[w] = true
 			}
-			res, err := RunStep(ring(t, 5), func(c *StepCtx) Machine {
+			res, err := RunStep(ring(t, 5), func(c Node) Machine {
 				return &stepFuncs{step: func(in Input) bool {
 					if in.Round == 0 {
 						if writerSet[c.ID()] {
@@ -110,7 +110,7 @@ func TestStepChannelResolution(t *testing.T) {
 }
 
 func TestStepResultHook(t *testing.T) {
-	res, err := RunStep(ring(t, 4), func(c *StepCtx) Machine {
+	res, err := RunStep(ring(t, 4), func(c Node) Machine {
 		id := c.ID()
 		return &stepFuncs{
 			step:   func(Input) bool { return true },
@@ -128,7 +128,7 @@ func TestStepResultHook(t *testing.T) {
 }
 
 func TestStepRoundNumbering(t *testing.T) {
-	_, err := RunStep(ring(t, 3), func(c *StepCtx) Machine {
+	_, err := RunStep(ring(t, 3), func(c Node) Machine {
 		return &stepFuncs{step: func(in Input) bool {
 			if in.Round != c.Round() {
 				c.Failf("in.Round %d != ctx round %d", in.Round, c.Round())
@@ -144,7 +144,7 @@ func TestStepRoundNumbering(t *testing.T) {
 func TestStepSleepWave(t *testing.T) {
 	// A token travels around the ring; every node sleeps until it arrives.
 	const n = 64
-	res, err := RunStep(ring(t, n), func(c *StepCtx) Machine {
+	res, err := RunStep(ring(t, n), func(c Node) Machine {
 		return &stepFuncs{step: func(in Input) bool {
 			relay := func() {
 				// Forward to the neighbor with the next id (mod n).
@@ -180,7 +180,7 @@ func TestStepQuiescenceHitsBudget(t *testing.T) {
 	// Everyone sleeps forever with no message ever due: the wedge spins
 	// cheap empty rounds to the same ErrMaxRounds the goroutine engine
 	// reports for the equivalent blocked program.
-	_, err := RunStep(ring(t, 4), func(c *StepCtx) Machine {
+	_, err := RunStep(ring(t, 4), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool {
 			c.Sleep()
 			return false
@@ -192,7 +192,7 @@ func TestStepQuiescenceHitsBudget(t *testing.T) {
 }
 
 func TestStepMaxRounds(t *testing.T) {
-	_, err := RunStep(ring(t, 3), func(c *StepCtx) Machine {
+	_, err := RunStep(ring(t, 3), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool { return false }}
 	}, WithMaxRounds(10))
 	if !errors.Is(err, ErrMaxRounds) {
@@ -201,7 +201,7 @@ func TestStepMaxRounds(t *testing.T) {
 }
 
 func TestStepPanicReported(t *testing.T) {
-	_, err := RunStep(ring(t, 3), func(c *StepCtx) Machine {
+	_, err := RunStep(ring(t, 3), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool {
 			if c.ID() == 1 {
 				panic("kaboom")
@@ -215,7 +215,7 @@ func TestStepPanicReported(t *testing.T) {
 }
 
 func TestStepDoubleSendPanics(t *testing.T) {
-	_, err := RunStep(path(t, 2), func(c *StepCtx) Machine {
+	_, err := RunStep(path(t, 2), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool {
 			c.Send(0, 1)
 			c.Send(0, 2)
@@ -228,7 +228,7 @@ func TestStepDoubleSendPanics(t *testing.T) {
 }
 
 func TestStepDroppedToHalted(t *testing.T) {
-	res, err := RunStep(path(t, 2), func(c *StepCtx) Machine {
+	res, err := RunStep(path(t, 2), func(c Node) Machine {
 		return &stepFuncs{step: func(in Input) bool {
 			if c.ID() == 0 {
 				return true
@@ -244,6 +244,76 @@ func TestStepDroppedToHalted(t *testing.T) {
 	}
 	if res.Metrics.DroppedHalted != 1 {
 		t.Errorf("DroppedHalted = %d, want 1", res.Metrics.DroppedHalted)
+	}
+}
+
+// TestFailfSameOnBothEngines: Failf aborts the run with the same
+// `sim: node N: …` error whichever engine runs the machine, and a goroutine
+// Program calling Ctx.Failf reads the same on the goroutine engine and
+// through the step engine's adapter. The lowest failing node wins.
+func TestFailfSameOnBothEngines(t *testing.T) {
+	const want = "sim: node 1: bad round 2"
+	machine := func(c Node) Machine {
+		return &stepFuncs{step: func(in Input) bool {
+			if in.Round == 2 && c.ID() >= 1 {
+				c.Failf("bad round %d", in.Round)
+			}
+			return false
+		}}
+	}
+	program := func(ctx *Ctx) error {
+		for in := (Input{}); ; in = ctx.Tick() {
+			if in.Round == 2 && ctx.ID() >= 1 {
+				ctx.Failf("bad round %d", in.Round)
+			}
+		}
+	}
+	for _, e := range []Engine{EngineGoroutine, EngineStep} {
+		if _, err := RunStep(ring(t, 5), machine, WithEngine(e)); err == nil || err.Error() != want {
+			t.Errorf("%v machine: err = %v, want %q", e, err, want)
+		}
+		if _, err := Run(ring(t, 5), program, WithEngine(e)); err == nil || err.Error() != want {
+			t.Errorf("%v program: err = %v, want %q", e, err, want)
+		}
+	}
+}
+
+// TestOracleCatchesSleepContractViolation: a machine that sleeps yet counts
+// the rounds it sleeps through breaks the Node contract. The step engine
+// skips the parked rounds and the goroutine engine steps them, so the two
+// engines must disagree — the equivalence suites' oracle has teeth.
+func TestOracleCatchesSleepContractViolation(t *testing.T) {
+	prog := func(c Node) Machine {
+		steps := 0
+		return &stepFuncs{
+			step: func(in Input) bool {
+				steps++
+				if c.ID() == 0 {
+					if in.Round == 5 {
+						c.Send(0, "wake")
+						return true
+					}
+					return false
+				}
+				if len(in.Msgs) > 0 {
+					return true
+				}
+				c.Sleep()
+				return false
+			},
+			result: func() any { return steps },
+		}
+	}
+	var results [2]any
+	for i, e := range []Engine{EngineGoroutine, EngineStep} {
+		res, err := RunStep(path(t, 2), prog, WithEngine(e))
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		results[i] = res.Results[1]
+	}
+	if results[0] != 7 || results[1] != 2 {
+		t.Errorf("sleeper stepped %v times on the goroutine engine and %v on the step engine, want 7 and 2", results[0], results[1])
 	}
 }
 
@@ -349,7 +419,7 @@ func TestStepBarrierMatchesBarrierStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := RunStep(g, func(c *StepCtx) Machine {
+	nat, err := RunStep(g, func(c Node) Machine {
 		b := NewStepBarrier(c)
 		seen := c.ID() == 0
 		return &stepFuncs{

@@ -19,13 +19,13 @@ package sim
 // passive node must be driven by incoming messages, never by counting
 // rounds.
 type StepBarrier struct {
-	c     *StepCtx
+	c     Node
 	armed bool
 }
 
 // NewStepBarrier returns a barrier for the node. The zero value is not
 // usable; a fresh barrier (or one that has just fired) starts a new step.
-func NewStepBarrier(c *StepCtx) *StepBarrier { return &StepBarrier{c: c} }
+func NewStepBarrier(c Node) *StepBarrier { return &StepBarrier{c: c} }
 
 // Step advances the barrier-synchronized step by one round. handle performs
 // the node's sends for the round and reports whether the node is still
@@ -45,7 +45,7 @@ func (b *StepBarrier) Step(in Input, handle func(Input) bool) (done bool) {
 	switch {
 	case active || b.c.SentThisRound():
 		b.c.Busy()
-	case !b.c.shard().chPending:
+	case !b.c.wroteChannel():
 		b.c.SleepUntilPulse()
 	}
 	b.armed = true

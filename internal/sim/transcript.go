@@ -46,6 +46,7 @@ package sim
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -484,9 +485,13 @@ func (tr *TranscriptReader) frame() (byte, []byte, error) {
 	if size > 1<<30 {
 		return 0, nil, fmt.Errorf("frame length %d implausible", size)
 	}
-	body := make([]byte, size+4)
-	if _, err := io.ReadFull(tr.in, body); err != nil {
+	chunks, err := readBody(tr.in, size+4)
+	if err != nil {
 		return 0, nil, fmt.Errorf("frame body: %w", err)
+	}
+	body := chunks[0]
+	if len(chunks) > 1 {
+		body = bytes.Join(chunks, nil)
 	}
 	want := binary.LittleEndian.Uint32(body[size:])
 	body = body[:size]
@@ -494,6 +499,35 @@ func (tr *TranscriptReader) frame() (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("frame crc mismatch: %08x != %08x", got, want)
 	}
 	return kind[0], body, nil
+}
+
+// firstChunk is the most readBody allocates before any byte of a body
+// arrives.
+const firstChunk = 64 << 10
+
+// readBody reads exactly n bytes, the length a frame or checkpoint prefix
+// declared, as consecutive chunks: the first at most firstChunk long, each
+// later one at most twice its predecessor, and each allocated only once the
+// previous one is full. A corrupt or hostile length prefix therefore costs
+// memory in proportion to the bytes the stream really holds, not to the
+// claim, and an honest body is read without a single copy. Like io.ReadFull
+// it returns io.EOF if no byte was read and io.ErrUnexpectedEOF on a short
+// body.
+func readBody(r io.Reader, n uint64) ([][]byte, error) {
+	var chunks [][]byte
+	size := uint64(firstChunk)
+	for read := uint64(0); read < n; size *= 2 {
+		chunk := make([]byte, min(size, n-read))
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			if err == io.EOF && read > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		chunks = append(chunks, chunk)
+		read += uint64(len(chunk))
+	}
+	return chunks, nil
 }
 
 // byteReaderOf adapts the reader for ReadUvarint; both concrete stream types

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -233,6 +234,98 @@ func TestTranscriptCorruptionDetected(t *testing.T) {
 
 	if _, err := NewTranscriptReader(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// allocatedBy returns the bytes the heap allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersBoundAllocationByInput: a length prefix is only a claim. A
+// 10-byte checkpoint declaring a 2³⁴-byte body and a short transcript whose
+// header frame declares 2³⁰ bytes must each fail with an error after
+// allocating memory in proportion to the input, not to the claim.
+func TestDecodersBoundAllocationByInput(t *testing.T) {
+	const limit = 1 << 20
+	cp := binary.AppendUvarint([]byte("MMCP\x01"), 1<<34)
+	if len(cp) != 10 {
+		t.Fatalf("crafted checkpoint is %d bytes, want 10", len(cp))
+	}
+	var err error
+	if n := allocatedBy(func() { _, err = ReadCheckpoint(bytes.NewReader(cp)) }); n >= limit {
+		t.Errorf("ReadCheckpoint allocated %d bytes for a %d-byte input", n, len(cp))
+	}
+	if err == nil {
+		t.Error("ReadCheckpoint accepted a checkpoint with a missing body")
+	}
+
+	tr := append([]byte("MMTR"), TranscriptVersion, 0, frameHeader)
+	tr = binary.AppendUvarint(tr, 1<<30)
+	tr = append(tr, "short"...)
+	if n := allocatedBy(func() { _, err = NewTranscriptReader(bytes.NewReader(tr)) }); n >= limit {
+		t.Errorf("NewTranscriptReader allocated %d bytes for a %d-byte input", n, len(tr))
+	}
+	if err == nil {
+		t.Error("NewTranscriptReader accepted a truncated header frame")
+	}
+}
+
+// TestDecodersReadMultiChunkBodies: bodies longer than readBody's first
+// chunk — a 2·10⁴-node round frame and checkpoint — still decode exactly.
+func TestDecodersReadMultiChunkBodies(t *testing.T) {
+	g := ring(t, 20_000)
+	var cps []*Checkpoint
+	spec := &CheckpointSpec{At: []int{2}, Sink: collectCheckpoints(&cps)}
+	raw, want, err := runStepTranscript(t, g, ckptProgram(4), WithSeed(3), WithCheckpoints(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTranscriptReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := 0
+	for {
+		rf, _, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rf != nil {
+			widest = max(widest, len(rf.Nodes))
+		}
+	}
+	if widest*8 <= firstChunk { // every inbox digest is 8 bytes on the wire
+		t.Errorf("widest round frame names only %d inboxes, want a frame longer than one chunk", widest)
+	}
+
+	var buf bytes.Buffer
+	if len(cps) != 1 {
+		t.Fatalf("%d checkpoints captured, want 1", len(cps))
+	}
+	if _, err := cps[0].WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() <= 2*firstChunk {
+		t.Fatalf("checkpoint is %d bytes, want more than two chunks", buf.Len())
+	}
+	cp, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Resume(g, ckptProgram(4), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) || got.Metrics != want.Metrics {
+		t.Error("run resumed from the decoded checkpoint differs from the uninterrupted run")
 	}
 }
 

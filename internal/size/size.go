@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/resolve"
 	"repro/internal/sim"
 )
 
@@ -44,15 +43,14 @@ type EstimateResult struct {
 	Metrics  sim.Metrics
 }
 
-// Estimate runs the Greenberg–Ladner protocol: in round i every node
-// transmits with probability 2^-i; the first idle slot after k rounds
-// yields the estimate 2^k, within a constant factor of n w.h.p.
-func Estimate(g graph.Topology, seed int64) (*EstimateResult, error) {
-	res, err := sim.Run(g, func(c *sim.Ctx) error {
-		est, _ := resolve.GreenbergLadner(c, sim.Input{}, true)
-		c.SetResult(est)
-		return nil
-	}, sim.WithSeed(seed))
+// Estimate runs the Greenberg–Ladner protocol on sim.DefaultEngine: in
+// round i every node transmits with probability 2^-i; the first idle slot
+// after k rounds yields the estimate 2^k, within a constant factor of n
+// w.h.p. Extra options (engine, workers, transcript, checkpoints) pass
+// through.
+func Estimate(g graph.Topology, seed int64, opts ...sim.Option) (*EstimateResult, error) {
+	opts = append([]sim.Option{sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine)}, opts...)
+	res, err := sim.RunStep(g, GLStepProgram(), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("size: estimate: %w", err)
 	}

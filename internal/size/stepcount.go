@@ -1,11 +1,10 @@
 package size
 
-// stepcount.go provides the native step-engine forms of the network-size
-// protocols: Census, a point-to-point BFS census that counts the stations
-// exactly in O(diameter) rounds and O(n + m) total work — the protocol the
-// step engine can run on 10⁶-node networks — and EstimateStep, the native
-// port of the §7.4 Greenberg–Ladner estimator, draw-for-draw identical to
-// the goroutine form in Estimate.
+// stepcount.go provides the step-machine network-size protocols: Census, a
+// point-to-point BFS census that counts the stations exactly in
+// O(diameter) rounds and O(n + m) total work — the protocol the step engine
+// can run on 10⁶-node networks — and the §7.4 Greenberg–Ladner estimator
+// behind Estimate.
 
 import (
 	"encoding/gob"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/globalfunc"
 	"repro/internal/graph"
+	"repro/internal/resolve"
 	"repro/internal/sim"
 )
 
@@ -22,13 +22,15 @@ type CensusResult struct {
 	Metrics sim.Metrics
 }
 
-// Census counts the stations on the point-to-point network with the native
-// step engine: the BFS-tree aggregate of globalfunc with every input 1.
-// Every node learns n; the channel is never used. Thanks to the engine's
-// sleep/wake activation the cost is proportional to n + m node-steps, so a
-// million-node ring completes in seconds.
+// Census counts the stations on the point-to-point network with the step
+// engine, whatever sim.DefaultEngine says: the BFS-tree aggregate of
+// globalfunc with every input 1. Every node learns n; the channel is never
+// used. Thanks to the engine's sleep/wake activation the cost is
+// proportional to n + m node-steps, so a million-node ring completes in
+// seconds.
 func Census(g graph.Topology, seed int64, opts ...sim.Option) (*CensusResult, error) {
-	res, err := globalfunc.PointToPointStep(g, seed, globalfunc.Sum,
+	opts = append([]sim.Option{sim.WithEngine(sim.EngineStep)}, opts...)
+	res, err := globalfunc.PointToPoint(g, seed, globalfunc.Sum,
 		func(graph.NodeID) int64 { return 1 }, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("size: census: %w", err)
@@ -36,80 +38,49 @@ func Census(g graph.Topology, seed int64, opts ...sim.Option) (*CensusResult, er
 	return &CensusResult{N: int(res.Value), Metrics: res.Total}, nil
 }
 
-// glMachine is the per-round form of resolve.GreenbergLadner: in iteration
-// i the node transmits with probability 2^-i; the first idle slot after k
-// rounds yields the estimate 2^k. The RNG draw order matches the goroutine
-// form exactly, so both produce identical estimates and metrics.
-type glMachine struct {
-	c   *sim.StepCtx
-	i   int32
-	est int64
+// estimateMachine runs the §7.4 estimator with every node participating.
+type estimateMachine struct {
+	gl resolve.GreenbergLadnerStep
 }
 
-func (m *glMachine) Step(in sim.Input) bool {
-	if in.Round > 0 && in.Slot.State == sim.SlotIdle {
-		m.est = int64(1) << uint(min(m.i, 62))
-		return true
+func (m *estimateMachine) Step(in sim.Input) bool {
+	if in.Round == 0 {
+		m.gl.Begin()
+		return false
 	}
-	m.i++
-	p := 1.0
-	for j := int32(0); j < m.i; j++ {
-		p /= 2
-	}
-	if m.c.Rand().Float64() < p {
-		m.c.Busy()
-	}
-	return false
+	return m.gl.Poll(in)
 }
 
-func (m *glMachine) Result() any { return m.est }
+func (m *estimateMachine) Result() any { return m.gl.Estimate }
 
-// glState is the checkpointable image of glMachine, exported for gob.
+// glState is the checkpointable image of estimateMachine, exported for gob.
 type glState struct {
 	I   int
 	Est int64
 }
 
 // SnapshotState implements sim.Snapshotter.
-func (m *glMachine) SnapshotState() any { return glState{I: int(m.i), Est: m.est} }
+func (m *estimateMachine) SnapshotState() any { return glState{I: m.gl.Probe, Est: m.gl.Estimate} }
 
 // RestoreState implements sim.Snapshotter.
-func (m *glMachine) RestoreState(state any) {
+func (m *estimateMachine) RestoreState(state any) {
 	s := state.(glState)
-	m.i, m.est = int32(s.I), s.Est
+	m.gl.Probe, m.gl.Estimate = s.I, s.Est
 }
 
-// GLStepProgram returns the native Greenberg–Ladner estimator program, for
-// callers that drive sim.RunStep or sim.Resume directly (EstimateStep wraps
-// it with result validation). Machines come from a per-run slab: one
-// allocation for the whole network.
+// GLStepProgram returns the Greenberg–Ladner estimator program, for callers
+// that drive sim.RunStep or sim.Resume directly (Estimate wraps it with
+// result validation). Machines come from a per-run slab: one allocation for
+// the whole network.
 func GLStepProgram() sim.StepProgram {
-	var slab sim.Slab[glMachine]
-	return func(c *sim.StepCtx) sim.Machine {
+	var slab sim.Slab[estimateMachine]
+	return func(c sim.Node) sim.Machine {
 		m := slab.Alloc(c.N())
-		*m = glMachine{c: c}
+		m.gl = *resolve.NewGreenbergLadnerStep(c, true)
 		return m
 	}
 }
 
 func init() {
 	gob.Register(glState{})
-}
-
-// EstimateStep runs the §7.4 Greenberg–Ladner protocol on the native step
-// engine; same contract and transcript as Estimate. Extra options (workers,
-// transcript, checkpoints) pass through to the engine.
-func EstimateStep(g graph.Topology, seed int64, opts ...sim.Option) (*EstimateResult, error) {
-	opts = append([]sim.Option{sim.WithSeed(seed)}, opts...)
-	res, err := sim.RunStep(g, GLStepProgram(), opts...)
-	if err != nil {
-		return nil, fmt.Errorf("size: step estimate: %w", err)
-	}
-	est := res.Results[0].(int64)
-	for v, r := range res.Results {
-		if r != est {
-			return nil, fmt.Errorf("size: node %d estimated %v, node 0 %v", v, r, est)
-		}
-	}
-	return &EstimateResult{Estimate: est, Rounds: res.Metrics.Rounds, Metrics: res.Metrics}, nil
 }

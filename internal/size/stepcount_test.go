@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 func TestCensusCountsExactly(t *testing.T) {
@@ -36,24 +37,25 @@ func TestCensusCountsExactly(t *testing.T) {
 	}
 }
 
-// TestEstimateStepMatchesEstimate checks the native Greenberg–Ladner port
-// against the goroutine form: identical estimates and metrics, seed by seed.
-func TestEstimateStepMatchesEstimate(t *testing.T) {
+// TestEstimateEngineEquivalence runs the Greenberg–Ladner machine on the
+// goroutine engine and the step engine: identical estimates and metrics,
+// seed by seed.
+func TestEstimateEngineEquivalence(t *testing.T) {
 	g, err := graph.RandomConnected(120, 240, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 8; seed++ {
-		gor, err := Estimate(g, seed)
+		gor, err := Estimate(g, seed, sim.WithEngine(sim.EngineGoroutine))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nat, err := EstimateStep(g, seed)
+		st, err := Estimate(g, seed, sim.WithEngine(sim.EngineStep))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gor.Estimate != nat.Estimate || gor.Rounds != nat.Rounds || gor.Metrics != nat.Metrics {
-			t.Errorf("seed %d: goroutine %+v, native %+v", seed, gor, nat)
+		if gor.Estimate != st.Estimate || gor.Rounds != st.Rounds || gor.Metrics != st.Metrics {
+			t.Errorf("seed %d: goroutine %+v, step %+v", seed, gor, st)
 		}
 	}
 }

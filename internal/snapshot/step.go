@@ -1,8 +1,12 @@
 package snapshot
 
-// step.go is the native step-machine form of the snapshot protocol: the §2
-// election component resolves contending initiators, and the round in which
-// its final slot is heard — the same round at every node — is the cut.
+// step.go is the snapshot protocol as a per-round component (Take drives it
+// on a blocking Ctx): the §2 election component resolves contending
+// initiators, and the round in which its final slot is heard — the same
+// round at every node — is the cut. No point-to-point message can be in
+// flight across the cut boundary for protocols that are quiescent while
+// snapshotting; for running applications the cut is simply a common round
+// index, which is all a synchronous consistent cut needs.
 
 import (
 	"fmt"
@@ -12,7 +16,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TakeStep is the per-round form of Take, for embedding in a sim.Machine.
+// TakeStep is the snapshot sub-protocol of Take, for embedding in a
+// sim.Machine.
 // Begin starts the protocol in the current round; Poll consumes each
 // subsequent round until it reports done, after which Cut and OK hold the
 // result. The record callback fires exactly once, on the cut round, iff a
@@ -27,7 +32,7 @@ type TakeStep struct {
 
 // NewTakeStep returns the component in its pre-Begin state; trigger marks
 // this node as wanting a snapshot.
-func NewTakeStep(c *sim.StepCtx, trigger bool, record func(round int)) *TakeStep {
+func NewTakeStep(c sim.Node, trigger bool, record func(round int)) *TakeStep {
 	return &TakeStep{e: resolve.NewElectionStep(c, c.N(), trigger, int(c.ID())), record: record}
 }
 
@@ -50,7 +55,7 @@ func (s *TakeStep) Poll(in sim.Input) (done bool) {
 
 // snapMachine runs one whole-network snapshot with node 0 triggering.
 type snapMachine struct {
-	c   *sim.StepCtx
+	c   sim.Node
 	t   *TakeStep
 	cut any
 }
@@ -72,28 +77,12 @@ func (m *snapMachine) Step(in sim.Input) bool {
 
 func (m *snapMachine) Result() any { return m.cut }
 
-// Run takes one snapshot of the whole network with node 0 as the (sole)
-// trigger and returns the cut every node recorded. The run executes on
-// sim.DefaultEngine: the goroutine engine drives the blocking Take, the
-// step engine the native TakeStep machine; both produce bit-identical
-// transcripts.
+// Run takes one snapshot of the whole network on sim.DefaultEngine, with
+// node 0 as the (sole) trigger, and returns the cut every node recorded.
 func Run(g graph.Topology, seed int64) (Cut, sim.Metrics, error) {
-	var res *sim.Result
-	var err error
-	if sim.DefaultEngine == sim.EngineStep {
-		res, err = sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
-			return &snapMachine{c: c, t: NewTakeStep(c, c.ID() == 0, func(int) {})}
-		}, sim.WithSeed(seed))
-	} else {
-		res, err = sim.Run(g, func(c *sim.Ctx) error {
-			cut, ok, _ := Take(c, sim.Input{}, c.ID() == 0, func(int) {})
-			if !ok {
-				return fmt.Errorf("snapshot not taken")
-			}
-			c.SetResult(cut)
-			return nil
-		}, sim.WithSeed(seed))
-	}
+	res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
+		return &snapMachine{c: c, t: NewTakeStep(c, c.ID() == 0, func(int) {})}
+	}, sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine))
 	if err != nil {
 		return Cut{}, sim.Metrics{}, err
 	}

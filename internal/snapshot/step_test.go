@@ -8,8 +8,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRunEngineEquivalence: the native snapshot machine must record the same
-// cut with identical metrics as the blocking form.
+// TestRunEngineEquivalence: the snapshot machine must record the same cut
+// with identical metrics on the goroutine engine and the step engine.
 func TestRunEngineEquivalence(t *testing.T) {
 	g, err := graph.RandomConnected(40, 60, 3)
 	if err != nil {

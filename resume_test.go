@@ -6,9 +6,9 @@ package repro
 // several worker counts, and requires the resumed transcript — stitched onto
 // the uninterrupted run's prefix — to be byte-identical to the uninterrupted
 // transcript. For the fault-free census it additionally requires the native
-// step transcript to be byte-identical to the goroutine-engine transcript of
-// the goroutine form of the same protocol, tying the checkpoint seam into
-// the cross-engine/cross-form determinism contract. The same driver doubles
+// step transcript to be byte-identical to the goroutine engine's transcript
+// of the same machine, tying the checkpoint seam into the
+// cross-engine/cross-form determinism contract. The same harness doubles
 // as a fuzz target.
 
 import (
@@ -233,7 +233,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 // TestResumeCensusMatchesGoroutineForm ties the checkpoint seam to the
 // cross-form contract: the native census transcript (the one the resume
 // tests stitch against) must be byte-identical to the goroutine engine
-// running the goroutine form of the same protocol.
+// running the same machine.
 func TestResumeCensusMatchesGoroutineForm(t *testing.T) {
 	g, err := graph.Ring(26, 3)
 	if err != nil {
@@ -253,7 +253,7 @@ func TestResumeCensusMatchesGoroutineForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(native, buf.Bytes()) {
-		t.Errorf("native census transcript differs from the goroutine form (%d vs %d bytes)", len(native), len(buf.Bytes()))
+		t.Errorf("native census transcript differs from the goroutine engine's (%d vs %d bytes)", len(native), len(buf.Bytes()))
 	}
 }
 

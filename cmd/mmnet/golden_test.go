@@ -54,6 +54,18 @@ var goldenConfigs = []struct {
 	// through (the restarted node revives inside one of its internal runs).
 	{"sum-rand-mb-partitioned-random18-step", []string{"-graph", "random", "-n", "18", "-extra", "12", "-algo", "sum", "-variant", "rand", "-stage", "mb", "-engine", "step", "-faults", "partition:2@3-6", "-max-rounds", "4000"}},
 	{"coloring-restart-star24-step", []string{"-graph", "star", "-n", "24", "-algo", "coloring", "-engine", "step", "-faults", "crash:7@3;restart:7@8", "-max-rounds", "4000"}},
+	// The paper's multi-stage pipelines: the §4 partitions, the full §3
+	// Borůvka run, the broadcast-only baseline, the §5.1 balanced variant,
+	// the §7.3 count on the goroutine engine, and the §3 partition under a
+	// jammed channel (its barrier pulses shift) on both engines.
+	{"partition-rand-random24-step", []string{"-graph", "random", "-n", "24", "-extra", "20", "-algo", "partition-rand", "-engine", "step"}},
+	{"partition-lv-random24-step", []string{"-graph", "random", "-n", "24", "-extra", "20", "-algo", "partition-lv", "-engine", "step"}},
+	{"mst-boruvka-ring24-step", []string{"-graph", "ring", "-n", "24", "-algo", "mst-boruvka", "-engine", "step"}},
+	{"bcast-sum-ring20-step", []string{"-graph", "ring", "-n", "20", "-algo", "bcast-sum", "-engine", "step"}},
+	{"sum-balanced-random30-step", []string{"-graph", "random", "-n", "30", "-extra", "20", "-algo", "sum", "-variant", "balanced", "-engine", "step"}},
+	{"count-ring24-goroutine", []string{"-graph", "ring", "-n", "24", "-algo", "count", "-engine", "goroutine"}},
+	{"partition-det-jammed-ring32-step", []string{"-graph", "ring", "-n", "32", "-algo", "partition-det", "-engine", "step", "-faults", "seed:5;jam:1-40/p0.5"}},
+	{"partition-det-jammed-ring32-goroutine", []string{"-graph", "ring", "-n", "32", "-algo", "partition-det", "-engine", "goroutine", "-faults", "seed:5;jam:1-40/p0.5"}},
 }
 
 func TestGoldenTranscripts(t *testing.T) {

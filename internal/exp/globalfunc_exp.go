@@ -119,11 +119,10 @@ func runA3(w io.Writer, full bool) error {
 	}
 	for _, k := range ks {
 		contend := func(id int) bool { return id%(n/k) == 0 }
-		res, err := sim.Run(g, func(c *sim.Ctx) error {
+		res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
 			id := int(c.ID())
-			resolve.Capetanakis(c, sim.Input{}, n, contend(id), id, nil)
-			return nil
-		})
+			return resolve.Machine(resolve.NewCapetanakisStep(c, n, contend(id), id, nil, 0), func() any { return nil })
+		}, sim.WithEngine(sim.DefaultEngine))
 		if err != nil {
 			return err
 		}
@@ -131,11 +130,10 @@ func runA3(w io.Writer, full bool) error {
 		var mbTotal int
 		seeds := int64(5)
 		for s := int64(0); s < seeds; s++ {
-			res, err := sim.Run(g, func(c *sim.Ctx) error {
+			res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
 				id := int(c.ID())
-				resolve.MetcalfeBoggs(c, sim.Input{}, k, contend(id), id, nil, 0)
-				return nil
-			}, sim.WithSeed(s))
+				return resolve.Machine(resolve.NewMetcalfeBoggsStep(c, k, contend(id), id, nil, 0), func() any { return nil })
+			}, sim.WithSeed(s), sim.WithEngine(sim.DefaultEngine))
 			if err != nil {
 				return err
 			}

@@ -50,28 +50,18 @@ func PointToPoint(g graph.Topology, seed int64, op Op, in Inputs, opts ...sim.Op
 // id space (Θ(n) slots); randomized uses Metcalfe–Boggs (Θ(n) expected).
 // The point-to-point network is never used.
 func BroadcastOnly(g graph.Topology, seed int64, op Op, in Inputs, stage Stage) (*Result, error) {
-	prog := func(c *sim.Ctx) error {
-		id := c.ID()
-		var sched []resolve.ScheduledItem
-		switch stage {
-		case StageCapetanakis:
-			sched, _ = resolve.Capetanakis(c, sim.Input{}, c.N(), true, int(id), in(id))
-		case StageMetcalfeBoggs:
-			sched, _, _ = resolve.MetcalfeBoggs(c, sim.Input{}, c.N(), true, int(id), in(id), 0)
-		default:
-			return fmt.Errorf("unknown stage %d", stage)
-		}
-		if len(sched) != c.N() {
-			return fmt.Errorf("node %d heard %d of %d inputs", id, len(sched), c.N())
-		}
-		acc := sched[0].Payload.(int64)
-		for _, s := range sched[1:] {
-			acc = op.Combine(acc, s.Payload.(int64))
-		}
-		c.SetResult(acc)
-		return nil
+	if stage != StageCapetanakis && stage != StageMetcalfeBoggs {
+		return nil, fmt.Errorf("globalfunc: unknown stage %d", stage)
 	}
-	res, err := sim.Run(g, prog, sim.WithSeed(seed))
+	res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
+		p, sched := scheduler(c, stage, c.N(), true, in(c.ID()))
+		return resolve.Machine(p, func() any {
+			if len(*sched) != c.N() {
+				c.Failf("node %d heard %d of %d inputs", c.ID(), len(*sched), c.N())
+			}
+			return combineAll(op, *sched)
+		})
+	}, sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine))
 	if err != nil {
 		return nil, fmt.Errorf("globalfunc: broadcast baseline: %w", err)
 	}

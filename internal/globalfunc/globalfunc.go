@@ -125,6 +125,9 @@ func Multimedia(g graph.Topology, seed int64, op Op, in Inputs, variant Variant,
 		info *partition.RandomizedInfo
 		err  error
 	)
+	if stage != StageCapetanakis && stage != StageMetcalfeBoggs {
+		return nil, fmt.Errorf("globalfunc: unknown stage %d", stage)
+	}
 	switch variant {
 	case VariantDeterministic:
 		f, pm, _, err = partition.Deterministic(g, seed)
@@ -139,11 +142,14 @@ func Multimedia(g graph.Topology, seed int64, op Op, in Inputs, variant Variant,
 		return nil, fmt.Errorf("globalfunc: partition: %w", err)
 	}
 
-	knownRoots := 0
-	if info != nil {
-		knownRoots = len(info.RootOrder)
+	// The Metcalfe–Boggs stage starts from the verified root count when
+	// the partition provides one.
+	estimate := partition.SqrtN(n)
+	if info != nil && len(info.RootOrder) > 0 {
+		estimate = len(info.RootOrder)
 	}
-	res, err := sim.Run(g, stageProgram(f, op, in, stage, knownRoots), sim.WithSeed(seed+1))
+	res, err := sim.RunStep(g, stageProgram(f, op, in, stage, estimate),
+		sim.WithSeed(seed+1), sim.WithEngine(sim.DefaultEngine))
 	if err != nil {
 		return nil, fmt.Errorf("globalfunc: compute: %w", err)
 	}
@@ -157,54 +163,92 @@ func Multimedia(g graph.Topology, seed int64, op Op, in Inputs, variant Variant,
 	return out, nil
 }
 
-// stageProgram runs the local stage (tree convergecast under the §7.1
+// stageMachine runs the local stage (tree convergecast under the §7.1
 // barrier) followed by the global stage (channel scheduling of the roots).
-func stageProgram(f *forest.Forest, op Op, in Inputs, stage Stage, knownRoots int) sim.Program {
+type stageMachine struct {
+	c       sim.Node
+	b       *sim.StepBarrier
+	op      Op
+	parent  graph.NodeID
+	kids    int
+	partial int64
+	reports int
+	sentUp  bool
+
+	stage    Stage
+	estimate int
+	global   resolve.Component // nil during the local stage
+	sched    *[]resolve.ScheduledItem
+	result   any
+}
+
+func stageProgram(f *forest.Forest, op Op, in Inputs, stage Stage, estimate int) sim.StepProgram {
 	children := f.Children()
-	return func(c *sim.Ctx) error {
+	return func(c sim.Node) sim.Machine {
 		id := c.ID()
-		isRoot := f.Parent[id] == -1
-		partial := in(id)
-		reports := 0
-		sentUp := false
-
-		// Local stage: convergecast partials to the cores; the barrier's
-		// idle pulse tells every node the stage has globally ended.
-		pulse := sim.BarrierStep(c, sim.Input{}, func(step sim.Input) bool {
-			for _, m := range step.Msgs {
-				partial = op.Combine(partial, m.Payload.(int64))
-				reports++
-			}
-			if !sentUp && reports == len(children[id]) {
-				sentUp = true
-				if !isRoot {
-					c.SendTo(f.Parent[id], partial)
-				}
-			}
-			return false
-		})
-
-		// Global stage: roots broadcast partials on the channel.
-		var sched []resolve.ScheduledItem
-		switch stage {
-		case StageCapetanakis:
-			sched, _ = resolve.Capetanakis(c, pulse, c.N(), isRoot, int(id), partial)
-		case StageMetcalfeBoggs:
-			estimate := knownRoots
-			if estimate == 0 {
-				estimate = partition.SqrtN(c.N())
-			}
-			sched, _, _ = resolve.MetcalfeBoggs(c, pulse, estimate, isRoot, int(id), partial, 0)
-		default:
-			return fmt.Errorf("unknown stage %d", stage)
+		return &stageMachine{
+			c: c, b: sim.NewStepBarrier(c), op: op, parent: f.Parent[id],
+			kids: len(children[id]), partial: in(id), stage: stage, estimate: estimate,
 		}
-		acc := sched[0].Payload.(int64)
-		for _, s := range sched[1:] {
-			acc = op.Combine(acc, s.Payload.(int64))
-		}
-		c.SetResult(acc)
-		return nil
 	}
+}
+
+func (m *stageMachine) Step(in sim.Input) bool {
+	if m.global == nil {
+		if !m.b.Step(in, m.convergecast) {
+			return false
+		}
+		// Global stage: the roots broadcast their partials on the
+		// channel, starting on the pulse round.
+		m.global, m.sched = scheduler(m.c, m.stage, m.estimate, m.parent == -1, m.partial)
+		if !m.global.Begin() {
+			return false
+		}
+	} else if !m.global.Poll(in) {
+		return false
+	}
+	m.result = combineAll(m.op, *m.sched)
+	return true
+}
+
+// convergecast is the local stage's barrier handler: fold the children's
+// partials and pass the result up once every child reported. The barrier's
+// idle pulse tells every node the stage has globally ended.
+func (m *stageMachine) convergecast(in sim.Input) bool {
+	for _, msg := range in.Msgs {
+		m.partial = m.op.Combine(m.partial, msg.Payload.(int64))
+		m.reports++
+	}
+	if !m.sentUp && m.reports == m.kids {
+		m.sentUp = true
+		if m.parent != -1 {
+			m.c.SendTo(m.parent, m.partial)
+		}
+	}
+	return false
+}
+
+func (m *stageMachine) Result() any { return m.result }
+
+// scheduler returns the global-stage protocol of stage with this node
+// contending (if contending) to broadcast payload, and where the protocol
+// leaves its schedule.
+func scheduler(c sim.Node, stage Stage, estimate int, contending bool, payload int64) (resolve.Component, *[]resolve.ScheduledItem) {
+	if stage == StageCapetanakis {
+		s := resolve.NewCapetanakisStep(c, c.N(), contending, int(c.ID()), payload, 0)
+		return s, &s.Sched
+	}
+	s := resolve.NewMetcalfeBoggsStep(c, estimate, contending, int(c.ID()), payload, 0)
+	return s, &s.Sched
+}
+
+// combineAll folds every scheduled payload with op, in schedule order.
+func combineAll(op Op, sched []resolve.ScheduledItem) int64 {
+	acc := sched[0].Payload.(int64)
+	for _, s := range sched[1:] {
+		acc = op.Combine(acc, s.Payload.(int64))
+	}
+	return acc
 }
 
 // BalancedPhaseCount is the §5.1 balance: stop the deterministic partition

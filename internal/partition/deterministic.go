@@ -34,7 +34,10 @@ import (
 //
 // Steps are synchronized with the channel barrier of §7.1 (the paper's
 // "synchronizer as termination detector" alternative), so no step needs a
-// precomputed worst-case length.
+// precomputed worst-case length. Each node runs the phase as one machine
+// over a single sim.StepBarrier: a phase is a script of barrier steps, and
+// the straight-line code between two steps runs on the pulse round that
+// ends the first (see dstep).
 
 // DeterministicInfo reports auxiliary facts about a deterministic run.
 type DeterministicInfo struct {
@@ -105,7 +108,14 @@ const noWeight = graph.Weight(math.MaxInt64)
 
 // dnode is one node's state in the deterministic partition.
 type dnode struct {
-	c *sim.Ctx
+	c sim.Node
+	b *sim.StepBarrier
+
+	// The running script: its steps, the index of the current one, and
+	// that step's handler.
+	script []dstep
+	pc     int
+	handle handler
 
 	frag       graph.NodeID // fragment identity == core's node id
 	parentEdge int          // -1 at cores
@@ -113,6 +123,8 @@ type dnode struct {
 	rejected   map[int]bool // edges known intra-fragment forever
 
 	// Per-phase state.
+	phaseIdx  int  // the paper's i
+	spanning  bool // one fragment spans the network: the phase ends early
 	size      int
 	active    bool
 	cand      dMin         // own accepted outgoing candidate
@@ -132,13 +144,16 @@ type dnode struct {
 	color     int64
 	newCore   graph.NodeID
 
-	// parallelMWOE selects the A4 ablation's parallel edge testing.
-	parallelMWOE bool
+	// Values pushed across F by the last push step (see pushToChildren and
+	// pushToParent), and the one before it where a later step needs both.
+	got, kept     int64
+	gotOK, keptOK bool
 }
 
-func newDNode(c *sim.Ctx) *dnode {
-	return &dnode{
+func newDNode(c sim.Node) dnode {
+	return dnode{
 		c:          c,
+		b:          sim.NewStepBarrier(c),
 		frag:       c.ID(),
 		parentEdge: -1,
 		children:   make(map[int]bool),
@@ -168,17 +183,60 @@ func (nd *dnode) sendChildren(p sim.Payload) {
 	}
 }
 
-// --- Generic barrier-step primitives -----------------------------------
+// --- The script runner ---------------------------------------------------
+
+// handler is one barrier step's per-round body: it performs the node's
+// sends for the round and reports whether the node is still active (see
+// sim.StepBarrier.Step).
+type handler = func(sim.Input) bool
+
+// dstep is one barrier-synchronized step of a script. open runs the
+// straight-line code before the step and returns the step's handler; close
+// runs the code after it. Both run on a pulse round — open on the one that
+// ended the previous step, close on the step's own — so every node runs
+// them in the same round.
+type dstep struct {
+	open  func(nd *dnode) handler
+	close func(nd *dnode)
+}
+
+// run starts script on the current round; the caller then feeds this
+// round's input to advance.
+func (nd *dnode) run(script []dstep) {
+	nd.script, nd.pc = script, 0
+	nd.handle = script[0].open(nd)
+}
+
+// advance feeds one round to the running script: one turn of the barrier,
+// and on a pulse the close of the finished step and the open of the next.
+// It reports true once the script is over — its last step ended, or a step
+// set spanning — in which case the caller goes on in this same round with
+// the same input.
+func (nd *dnode) advance(in sim.Input) bool {
+	for nd.b.Step(in, nd.handle) {
+		if cl := nd.script[nd.pc].close; cl != nil {
+			cl(nd)
+		}
+		nd.pc++
+		if nd.spanning || nd.pc == len(nd.script) {
+			return true
+		}
+		nd.handle = nd.script[nd.pc].open(nd)
+	}
+	return false
+}
+
+// --- Generic barrier steps ------------------------------------------------
 
 // countStep runs Step 1's broadcast-and-respond: every core learns its
 // fragment size. Leaves respond immediately; inner nodes respond once all
 // children have.
-func (nd *dnode) countStep(in sim.Input) sim.Input {
+func (nd *dnode) countStep() handler {
 	reports := 0
 	sum := 1 // self
 	started := false
 	replied := false
-	return sim.BarrierStep(nd.c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
 			switch p := m.Payload.(type) {
 			case dCount:
@@ -202,7 +260,7 @@ func (nd *dnode) countStep(in sim.Input) sim.Input {
 			}
 		}
 		return false
-	})
+	}
 }
 
 // bcastDown floods a payload from the core to its whole fragment. start is
@@ -211,9 +269,9 @@ func (nd *dnode) countStep(in sim.Input) sim.Input {
 // the broadcast value to forward. Other message types arriving during the
 // same barrier step (e.g. unhooks crossing fragments) return false and are
 // merely observed. The core sees its own start payload with EdgeID == -1.
-func (nd *dnode) bcastDown(in sim.Input, start func() sim.Payload, on func(m sim.Message) bool) sim.Input {
+func (nd *dnode) bcastDown(start func() sim.Payload, on func(m sim.Message) bool) handler {
 	sent := false
-	return sim.BarrierStep(nd.c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
 			if on(m) && !sent {
 				sent = true
@@ -228,20 +286,20 @@ func (nd *dnode) bcastDown(in sim.Input, start func() sim.Payload, on func(m sim
 			}
 		}
 		return false
-	})
+	}
 }
 
 // convUp aggregates int64 values from the leaves to the core with an
 // associative, commutative combine. own is this node's contribution,
-// evaluated lazily on the first round so that same-step arrivals (absorbed
-// by observe) can influence it... it is evaluated when this node reports.
-func (nd *dnode) convUp(in sim.Input, own func() int64, combine func(a, b int64) int64,
-	wrap func(v int64) sim.Payload, unwrap func(p sim.Payload) (int64, bool), done func(total int64)) sim.Input {
+// evaluated when this node reports, so that same-step arrivals absorbed by
+// the handler can influence it.
+func (nd *dnode) convUp(own func() int64, combine func(a, b int64) int64,
+	wrap func(v int64) sim.Payload, unwrap func(p sim.Payload) (int64, bool), done func(total int64)) handler {
 	reports := 0
 	var acc int64
 	accSet := false
 	replied := false
-	return sim.BarrierStep(nd.c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
 			if v, ok := unwrap(m.Payload); ok {
 				reports++
@@ -266,15 +324,16 @@ func (nd *dnode) convUp(in sim.Input, own func() int64, combine func(a, b int64)
 			}
 		}
 		return false
-	})
+	}
 }
 
 // pushToChildren delivers each in-F core's value to the cores of all its
 // F-children: broadcast down the parent's tree, forward across every
 // surviving hook, then route up the child's tree to its core. Each core
-// returns the value received from its F-parent (ok=false at F-roots and
-// outside F).
-func (nd *dnode) pushToChildren(in sim.Input, kind uint8, value int64) (got int64, ok bool, out sim.Input) {
+// ends the step with got/gotOK holding the value received from its
+// F-parent (gotOK is false at F-roots and outside F).
+func (nd *dnode) pushToChildren(kind uint8, value int64) handler {
+	nd.got, nd.gotOK = 0, false
 	sentDown := false
 	relay := func(v int64) {
 		nd.sendChildren(dPushD{Kind: kind, V: v})
@@ -283,7 +342,7 @@ func (nd *dnode) pushToChildren(in sim.Input, kind uint8, value int64) (got int6
 			nd.c.Send(nd.c.LinkOf(e), dCross{Kind: kind, V: v})
 		}
 	}
-	out = sim.BarrierStep(nd.c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
 			switch p := m.Payload.(type) {
 			case dPushD:
@@ -295,7 +354,7 @@ func (nd *dnode) pushToChildren(in sim.Input, kind uint8, value int64) (got int6
 				// Accept only on my fragment's live out-edge.
 				if p.Kind == kind && nd.chosen && !nd.dropOut && m.EdgeID == nd.outEdge {
 					if nd.isCore() {
-						got, ok = p.V, true
+						nd.got, nd.gotOK = p.V, true
 					} else {
 						nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
 					}
@@ -303,7 +362,7 @@ func (nd *dnode) pushToChildren(in sim.Input, kind uint8, value int64) (got int6
 			case dPushU:
 				if p.Kind == kind {
 					if nd.isCore() {
-						got, ok = p.V, true
+						nd.got, nd.gotOK = p.V, true
 					} else {
 						nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
 					}
@@ -315,17 +374,18 @@ func (nd *dnode) pushToChildren(in sim.Input, kind uint8, value int64) (got int6
 			relay(value)
 		}
 		return false
-	})
-	return got, ok, out
+	}
 }
 
 // pushToParent delivers each non-root in-F core's value to its F-parent's
 // core: route down to the chosen node, across the MWOE, then aggregate up
-// the parent's tree with the associative combine. Each core returns the
-// aggregate over its F-children (ok=false if it has none).
-func (nd *dnode) pushToParent(in sim.Input, kind uint8, value int64, combine func(a, b int64) int64) (got int64, ok bool, out sim.Input) {
+// the parent's tree with the associative combine. Each core ends the step
+// with got/gotOK holding the aggregate over its F-children (gotOK is false
+// if it has none).
+func (nd *dnode) pushToParent(kind uint8, value int64, combine func(a, b int64) int64) handler {
+	nd.got, nd.gotOK = 0, false
 	started := false
-	out = sim.BarrierStep(nd.c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		var up *int64 // aggregate to forward toward the core this round
 		add := func(v int64) {
 			if up == nil {
@@ -365,18 +425,17 @@ func (nd *dnode) pushToParent(in sim.Input, kind uint8, value int64, combine fun
 		}
 		if up != nil {
 			if nd.isCore() {
-				if !ok {
-					got, ok = *up, true
+				if !nd.gotOK {
+					nd.got, nd.gotOK = *up, true
 				} else {
-					got = combine(got, *up)
+					nd.got = combine(nd.got, *up)
 				}
 			} else {
 				nd.c.Send(nd.parentLink(), dChildU{Kind: kind, V: *up})
 			}
 		}
 		return false
-	})
-	return got, ok, out
+	}
 }
 
 // cvStepsFor returns the number of Cole–Vishkin iterations that reduce any

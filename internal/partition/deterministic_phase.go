@@ -15,7 +15,7 @@ import (
 // edge is convergecast to the core, recording down-pointers for later
 // routing. Every node, active or not, answers tests against its current
 // fragment. One barrier step.
-func (nd *dnode) mwoeStep(in sim.Input) sim.Input {
+func (nd *dnode) mwoeStep() handler {
 	c := nd.c
 	adj := c.Adj()
 	nd.cand = dMin{Valid: false, W: noWeight}
@@ -45,7 +45,7 @@ func (nd *dnode) mwoeStep(in sim.Input) sim.Input {
 	if nd.active {
 		advance()
 	}
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		var repliedOn map[int]bool // edges that carried a reply this round
 		for _, m := range in.Msgs {
 			switch p := m.Payload.(type) {
@@ -94,14 +94,14 @@ func (nd *dnode) mwoeStep(in sim.Input) sim.Input {
 			}
 		}
 		return (nd.active && !replied) || wantTest != -1
-	})
+	}
 }
 
 // chooseAndHookStep is Step 2b: route CHOSEN from the core along the
 // down-pointers to the MWOE endpoint, which hooks across the selected edge.
 // Hooks from other fragments arrive during the same barrier step and are
 // absorbed here.
-func (nd *dnode) chooseAndHookStep(in sim.Input) sim.Input {
+func (nd *dnode) chooseAndHookStep() handler {
 	c := nd.c
 	started := false
 	route := func() {
@@ -113,7 +113,7 @@ func (nd *dnode) chooseAndHookStep(in sim.Input) sim.Input {
 			c.Send(c.LinkOf(nd.downEdge), dChosen{})
 		}
 	}
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
 			switch p := m.Payload.(type) {
 			case dChosen:
@@ -128,15 +128,14 @@ func (nd *dnode) chooseAndHookStep(in sim.Input) sim.Input {
 			route()
 		}
 		return false
-	})
+	}
 }
 
-// phase runs one complete phase. phaseIdx is the paper's i; done reports
-// that a single fragment spans the whole network.
-func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.Input) {
-	n := nd.c.N()
-
-	// Reset per-phase state.
+// beginPhase resets the per-phase state and starts phase phaseIdx of
+// script on the current round.
+func (nd *dnode) beginPhase(script []dstep, phaseIdx int) {
+	nd.phaseIdx = phaseIdx
+	nd.spanning = false
 	nd.active = false
 	nd.hooks = make(map[int]bool)
 	nd.hookFrom = make(map[int]graph.NodeID)
@@ -150,14 +149,178 @@ func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.
 	nd.isFRoot = false
 	nd.outEdge = -1
 	nd.newCore = -1
+	nd.run(script)
+}
 
-	// Step 1: count sizes; broadcast activity (⌊log2 size⌋ == phase) and
-	// the early-exit flag (a fragment spanning the whole graph).
-	in = nd.countStep(in)
-	in = nd.bcastDown(in,
+// phaseScript returns one complete phase as a script of barrier steps,
+// shared read-only by every node of a run. A phase ends early, after its
+// second step, once one fragment spans the whole network.
+func phaseScript(cvIters int, parallelMWOE bool) []dstep {
+	mwoe := (*dnode).mwoeStep
+	if parallelMWOE {
+		mwoe = (*dnode).mwoeStepParallel
+	}
+	s := []dstep{
+		// Step 1: count sizes; broadcast activity (⌊log2 size⌋ == phase)
+		// and the early-exit flag (a fragment spanning the whole graph).
+		{open: (*dnode).countStep},
+		{open: (*dnode).activeStep},
+		// Step 2: minimum-weight outgoing edges.
+		{open: mwoe, close: func(nd *dnode) {
+			if nd.isCore() {
+				nd.hasOut = nd.active && nd.best.Valid
+			}
+		}},
+		// Step 2b: route CHOSEN; the endpoint hooks across the MWOE.
+		{open: (*dnode).chooseAndHookStep},
+		{open: (*dnode).mutualStep},
+		{open: (*dnode).dropStep},
+		{open: (*dnode).hasKidsStep, close: func(nd *dnode) {
+			if nd.isCore() {
+				keepOut := nd.hasOut && !nd.dropOut
+				nd.inF = keepOut || nd.hasKids
+				nd.isFRoot = nd.inF && !keepOut
+			}
+			nd.color = int64(nd.frag)
+		}},
+	}
+
+	// Step 3: distributed GPS three-coloring of F. Initial colors are core
+	// ids; cvIters Cole–Vishkin rounds reduce them below six; three
+	// shift-down/recolor rounds eliminate colors 5, 4 and 3.
+	pushColor := func(nd *dnode) handler { return nd.pushToChildren(pkColor, nd.color) }
+	inF := func(nd *dnode) bool { return nd.isCore() && nd.inF }
+	for range cvIters {
+		s = append(s, dstep{open: pushColor, close: func(nd *dnode) {
+			if inF(nd) {
+				father := nd.color ^ 1 // F-roots pretend bit 0 differs
+				if nd.gotOK {
+					father = nd.got
+				}
+				nd.color = cvColor(nd.color, father)
+			}
+		}})
+	}
+	for drop := int64(5); drop >= 3; drop-- {
+		s = append(s,
+			// Shift-down: take the F-parent's color; roots take the
+			// smallest color different from their own.
+			dstep{open: pushColor, close: func(nd *dnode) {
+				if inF(nd) {
+					if nd.gotOK {
+						nd.color = nd.got
+					} else {
+						nd.color = smallestColorExcept(nd.color)
+					}
+				}
+			}},
+			// Children push their (uniform) post-shift color up; parents
+			// push their post-shift color down; vertices colored drop pick
+			// the smallest free color in {0,1,2}.
+			dstep{open: func(nd *dnode) handler {
+				return nd.pushToParent(pkChildC, nd.color, func(a, b int64) int64 { return a })
+			}, close: (*dnode).keep},
+			dstep{open: pushColor, close: func(nd *dnode) {
+				if inF(nd) && nd.color == drop {
+					var forbidden [8]bool
+					if nd.gotOK && nd.got >= 0 && nd.got < 8 {
+						forbidden[nd.got] = true
+					}
+					if nd.keptOK && nd.kept >= 0 && nd.kept < 8 {
+						forbidden[nd.kept] = true
+					}
+					for x := int64(0); x < 3; x++ {
+						if !forbidden[x] {
+							nd.color = x
+							break
+						}
+					}
+				}
+			}},
+		)
+	}
+
+	// Step 4: make every F-root red while keeping the coloring legal
+	// (children need their parent's pre-step color and root status).
+	s = append(s, dstep{
+		open: func(nd *dnode) handler {
+			return nd.pushToChildren(pkColor, encodeRootColor(nd.isFRoot, nd.color))
+		},
+		close: func(nd *dnode) {
+			if !inF(nd) {
+				return
+			}
+			if !nd.gotOK {
+				nd.color = int64(coloring.Red) // F-root becomes (or stays) red
+				return
+			}
+			parentIsRoot, parentColor := decodeRootColor(nd.got)
+			if parentIsRoot && parentColor == int64(coloring.Red) {
+				nd.color = thirdColor(int64(coloring.Red), nd.color)
+			} else {
+				nd.color = parentColor
+			}
+		},
+	})
+
+	// Step 5: promote blue then green vertices with no red neighbor.
+	for _, promote := range []int64{int64(coloring.Blue), int64(coloring.Green)} {
+		s = append(s,
+			dstep{open: pushColor, close: (*dnode).keep},
+			dstep{open: func(nd *dnode) handler {
+				return nd.pushToParent(pkRed, b2i64(nd.color == int64(coloring.Red)),
+					func(a, b int64) int64 { return a | b })
+			}, close: func(nd *dnode) {
+				if inF(nd) && nd.color == promote {
+					redNbr := (nd.keptOK && nd.kept == int64(coloring.Red)) || (nd.gotOK && nd.got == 1)
+					if !redNbr {
+						nd.color = int64(coloring.Red)
+					}
+				}
+			}},
+		)
+	}
+
+	// Step 6: red non-leaf vertices cut their out-edge and root new
+	// fragments; chase the new core name down surviving F-edges (subtree
+	// depth ≤ 4, so five pushes suffice).
+	for hop := 0; hop < 5; hop++ {
+		open := func(nd *dnode) handler { return nd.pushToChildren(pkChase, int64(nd.newCore)) }
+		if hop == 0 {
+			open = func(nd *dnode) handler {
+				if inF(nd) {
+					redInternal := nd.color == int64(coloring.Red) && nd.hasKids
+					if nd.isFRoot || redInternal {
+						nd.newCore = nd.frag
+					}
+					if redInternal {
+						nd.dropOut = true // the out-edge (if any) is cut for merging
+					}
+				}
+				return nd.pushToChildren(pkChase, int64(nd.newCore))
+			}
+		}
+		s = append(s, dstep{open: open, close: func(nd *dnode) {
+			if inF(nd) && nd.newCore == -1 && nd.gotOK && nd.got != -1 {
+				nd.newCore = graph.NodeID(nd.got)
+			}
+		}})
+	}
+
+	// Step 7: broadcast the new fragment identity, then merge physically.
+	return append(s, dstep{open: (*dnode).newFragStep}, dstep{open: (*dnode).rerootStep})
+}
+
+// keep saves the last push's result for a later step of the same group.
+func (nd *dnode) keep() { nd.kept, nd.keptOK = nd.got, nd.gotOK }
+
+// activeStep is Step 1's second half: the core broadcasts whether the
+// fragment is active this phase and whether it spans the whole network.
+func (nd *dnode) activeStep() handler {
+	return nd.bcastDown(
 		func() sim.Payload {
 			level := bits.Len(uint(nd.size)) - 1
-			return dActive{Active: level == phaseIdx, Done: nd.size == n}
+			return dActive{Active: level == nd.phaseIdx, Done: nd.size == nd.c.N()}
 		},
 		func(m sim.Message) bool {
 			a, ok := m.Payload.(dActive)
@@ -165,29 +328,16 @@ func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.
 				return false
 			}
 			nd.active = a.Active
-			done = a.Done
+			nd.spanning = a.Done
 			return true
 		})
-	if done {
-		return true, in
-	}
+}
 
-	// Step 2: minimum-weight outgoing edges.
-	if nd.parallelMWOE {
-		in = nd.mwoeStepParallel(in)
-	} else {
-		in = nd.mwoeStep(in)
-	}
-	if nd.isCore() {
-		nd.hasOut = nd.active && nd.best.Valid
-	}
-
-	// Step 2b: route CHOSEN; the endpoint hooks across the MWOE.
-	in = nd.chooseAndHookStep(in)
-
-	// Step 2c: convergecast the chosen node's mutuality report (mutual iff
-	// a hook arrived on its own out-edge). Encoded as other-core-id + 1.
-	in = nd.convUp(in,
+// mutualStep is Step 2c: convergecast the chosen node's mutuality report
+// (mutual iff a hook arrived on its own out-edge), encoded as
+// other-core-id + 1.
+func (nd *dnode) mutualStep() handler {
+	return nd.convUp(
 		func() int64 {
 			if nd.chosen {
 				if other, ok := nd.hookFrom[nd.outEdge]; ok {
@@ -216,14 +366,17 @@ func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.
 			nd.mutual = total != 0
 			nd.mutualOth = graph.NodeID(total - 1)
 		})
+}
 
-	// Step 2d: broadcast the drop decision (the higher core of a mutually
-	// selected edge roots the F-tree and drops its out-edge); a dropping
-	// fragment's chosen node unhooks across, absorbed in this same step.
+// dropStep is Step 2d: broadcast the drop decision (the higher core of a
+// mutually selected edge roots the F-tree and drops its out-edge); a
+// dropping fragment's chosen node unhooks across, absorbed in this same
+// step.
+func (nd *dnode) dropStep() handler {
 	if nd.isCore() {
 		nd.dropOut = nd.hasOut && nd.mutual && nd.frag > nd.mutualOth
 	}
-	in = nd.bcastDown(in,
+	return nd.bcastDown(
 		func() sim.Payload { return dDrop{Drop: nd.dropOut} },
 		func(m sim.Message) bool {
 			switch d := m.Payload.(type) {
@@ -240,10 +393,12 @@ func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.
 			}
 			return false
 		})
+}
 
-	// Step 2e: convergecast whether any hooks survive (the fragment has
-	// F-children).
-	in = nd.convUp(in,
+// hasKidsStep is Step 2e: convergecast whether any hooks survive (the
+// fragment has F-children).
+func (nd *dnode) hasKidsStep() handler {
+	return nd.convUp(
 		func() int64 { return b2i64(len(nd.hooks) > 0) },
 		func(a, b int64) int64 { return a | b },
 		func(v int64) sim.Payload { return dHasKids{Has: v == 1} },
@@ -254,117 +409,11 @@ func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.
 			return 0, false
 		},
 		func(total int64) { nd.hasKids = total == 1 })
-	if nd.isCore() {
-		keepOut := nd.hasOut && !nd.dropOut
-		nd.inF = keepOut || nd.hasKids
-		nd.isFRoot = nd.inF && !keepOut
-	}
+}
 
-	// Step 3: distributed GPS three-coloring of F. Initial colors are core
-	// ids; cvIters Cole–Vishkin rounds reduce them below six; three
-	// shift-down/recolor rounds eliminate colors 5, 4 and 3.
-	nd.color = int64(nd.frag)
-	for it := 0; it < cvIters; it++ {
-		pv, ok, next := nd.pushToChildren(in, pkColor, nd.color)
-		in = next
-		if nd.isCore() && nd.inF {
-			father := nd.color ^ 1 // F-roots pretend bit 0 differs
-			if ok {
-				father = pv
-			}
-			nd.color = cvColor(nd.color, father)
-		}
-	}
-	for drop := int64(5); drop >= 3; drop-- {
-		// Shift-down: take the F-parent's color; roots take the smallest
-		// color different from their own.
-		pv, ok, next := nd.pushToChildren(in, pkColor, nd.color)
-		in = next
-		if nd.isCore() && nd.inF {
-			if ok {
-				nd.color = pv
-			} else {
-				nd.color = smallestColorExcept(nd.color)
-			}
-		}
-		// Children push their (uniform) post-shift color up; parents push
-		// their post-shift color down; vertices colored `drop` pick the
-		// smallest free color in {0,1,2}.
-		kidC, hasKids, next2 := nd.pushToParent(in, pkChildC, nd.color, func(a, b int64) int64 { return a })
-		in = next2
-		pv3, hasParent, next3 := nd.pushToChildren(in, pkColor, nd.color)
-		in = next3
-		if nd.isCore() && nd.inF && nd.color == drop {
-			var forbidden [8]bool
-			if hasParent && pv3 >= 0 && pv3 < 8 {
-				forbidden[pv3] = true
-			}
-			if hasKids && kidC >= 0 && kidC < 8 {
-				forbidden[kidC] = true
-			}
-			for x := int64(0); x < 3; x++ {
-				if !forbidden[x] {
-					nd.color = x
-					break
-				}
-			}
-		}
-	}
-
-	// Step 4: make every F-root red while keeping the coloring legal
-	// (children need their parent's pre-step color and root status).
-	pv4, hasParent4, next4 := nd.pushToChildren(in, pkColor, encodeRootColor(nd.isFRoot, nd.color))
-	in = next4
-	if nd.isCore() && nd.inF {
-		if !hasParent4 {
-			nd.color = int64(coloring.Red) // F-root becomes (or stays) red
-		} else {
-			parentIsRoot, parentColor := decodeRootColor(pv4)
-			if parentIsRoot && parentColor == int64(coloring.Red) {
-				nd.color = thirdColor(int64(coloring.Red), nd.color)
-			} else {
-				nd.color = parentColor
-			}
-		}
-	}
-
-	// Step 5: promote blue then green vertices with no red neighbor.
-	for _, promote := range []int64{int64(coloring.Blue), int64(coloring.Green)} {
-		pv5, hasParent5, next5 := nd.pushToChildren(in, pkColor, nd.color)
-		in = next5
-		kidRed, hasKids5, next6 := nd.pushToParent(in, pkRed, b2i64(nd.color == int64(coloring.Red)),
-			func(a, b int64) int64 { return a | b })
-		in = next6
-		if nd.isCore() && nd.inF && nd.color == promote {
-			redNbr := (hasParent5 && pv5 == int64(coloring.Red)) || (hasKids5 && kidRed == 1)
-			if !redNbr {
-				nd.color = int64(coloring.Red)
-			}
-		}
-	}
-
-	// Step 6: red non-leaf vertices cut their out-edge and root new
-	// fragments; chase the new core name down surviving F-edges (subtree
-	// depth ≤ 4, so five pushes suffice).
-	if nd.isCore() && nd.inF {
-		redInternal := nd.color == int64(coloring.Red) && nd.hasKids
-		if nd.isFRoot || redInternal {
-			nd.newCore = nd.frag
-		}
-		if redInternal {
-			nd.dropOut = true // the out-edge (if any) is cut for merging
-		}
-	}
-	for hop := 0; hop < 5; hop++ {
-		pv6, ok6, next7 := nd.pushToChildren(in, pkChase, int64(nd.newCore))
-		in = next7
-		if nd.isCore() && nd.inF && nd.newCore == -1 && ok6 && pv6 != -1 {
-			nd.newCore = graph.NodeID(pv6)
-		}
-	}
-
-	// Step 7a: broadcast the new fragment identity.
-	in = nd.bcastDown(in,
+// newFragStep is Step 7a: broadcast the new fragment identity.
+func (nd *dnode) newFragStep() handler {
+	return nd.bcastDown(
 		func() sim.Payload {
 			if nd.inF {
 				return dNewFrag{Core: nd.newCore}
@@ -379,16 +428,12 @@ func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.
 			nd.frag = nf.Core
 			return true
 		})
-
-	// Step 7b: merge physically.
-	in = nd.rerootStep(in)
-	return false, in
 }
 
 // rerootStep is Step 7b: each fragment that kept its out-edge re-roots at
 // the chosen node (flipping parent pointers along the core→chosen path) and
 // attaches across the MWOE; hooked nodes add the cross edge as a child.
-func (nd *dnode) rerootStep(in sim.Input) sim.Input {
+func (nd *dnode) rerootStep() handler {
 	c := nd.c
 	started := false
 	keepOut := nd.isCore() && nd.hasOut && !nd.dropOut
@@ -409,7 +454,7 @@ func (nd *dnode) rerootStep(in sim.Input) sim.Input {
 			delete(nd.children, nd.downEdge)
 		}
 	}
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
 			switch m.Payload.(type) {
 			case dReroot:
@@ -423,7 +468,7 @@ func (nd *dnode) rerootStep(in sim.Input) sim.Input {
 			flip()
 		}
 		return false
-	})
+	}
 }
 
 func smallestColorExcept(c int64) int64 {
@@ -463,32 +508,63 @@ func b2i64(b bool) int64 {
 	return 0
 }
 
-// deterministicProgram runs `phases` phases of the deterministic partition.
-func deterministicProgram(phases int, infoSink func(DeterministicInfo)) sim.Program {
-	return func(c *sim.Ctx) error {
-		nd := newDNode(c)
-		cvIters := cvStepsFor(c.N())
-		info := DeterministicInfo{CVSteps: cvIters}
-		in := sim.Input{}
-		for i := 0; i < phases; i++ {
-			done, next := nd.phase(in, i, cvIters)
-			in = next
-			info.Phases = i + 1
-			if done {
-				break
-			}
+// detMachine runs a fixed budget of phases of the deterministic partition,
+// stopping early once one fragment spans the network.
+type detMachine struct {
+	dnode
+	script []dstep
+	phases int
+	phase  int
+	info   *DeterministicInfo // written by node 0 when it finishes
+	result any
+}
+
+// deterministicProgram runs `phases` phases of the deterministic partition;
+// parallelMWOE selects the A4 ablation's edge testing.
+func deterministicProgram(phases int, parallelMWOE bool, info *DeterministicInfo) sim.StepProgram {
+	var script []dstep
+	return func(c sim.Node) sim.Machine {
+		if script == nil {
+			script = phaseScript(cvStepsFor(c.N()), parallelMWOE)
 		}
-		info.Finished = true
-		parent := graph.NodeID(-1)
-		if nd.parentEdge != -1 {
-			parent = c.Topo().Edge(nd.parentEdge).Other(c.ID())
-		}
-		c.SetResult(NodeOutcome{Parent: parent, ParentEdge: nd.parentEdge, Root: nd.frag})
-		if infoSink != nil && c.ID() == 0 {
-			infoSink(info)
-		}
-		return nil
+		return &detMachine{dnode: newDNode(c), script: script, phases: phases, info: info}
 	}
+}
+
+func (m *detMachine) Step(in sim.Input) bool {
+	if in.Round == 0 {
+		if m.phases < 1 {
+			return m.finish()
+		}
+		m.beginPhase(m.script, 0)
+	}
+	for m.advance(in) {
+		if m.spanning || m.phase+1 == m.phases {
+			return m.finish()
+		}
+		m.phase++
+		m.beginPhase(m.script, m.phase)
+	}
+	return false
+}
+
+func (m *detMachine) finish() bool {
+	m.result = m.outcome()
+	if m.c.ID() == 0 {
+		*m.info = DeterministicInfo{Phases: min(m.phase+1, m.phases), CVSteps: cvStepsFor(m.c.N()), Finished: true}
+	}
+	return true
+}
+
+func (m *detMachine) Result() any { return m.result }
+
+// outcome is the node's final view of the partition.
+func (nd *dnode) outcome() NodeOutcome {
+	parent := graph.NodeID(-1)
+	if nd.parentEdge != -1 {
+		parent = nd.c.Topo().Edge(nd.parentEdge).Other(nd.c.ID())
+	}
+	return NodeOutcome{Parent: parent, ParentEdge: nd.parentEdge, Root: nd.frag}
 }
 
 // DeterministicPhaseCount returns the paper's phase budget ⌈log2(n)/2⌉,
@@ -506,8 +582,7 @@ func DeterministicPhaseCount(n int) int {
 // MST), run metrics, and info.
 func DeterministicPhases(g graph.Topology, seed int64, phases int) (*forest.Forest, *sim.Metrics, *DeterministicInfo, error) {
 	var info DeterministicInfo
-	f, met, _, err := runAndBuild(g, deterministicProgram(phases, func(i DeterministicInfo) { info = i }),
-		sim.WithSeed(seed))
+	f, met, err := runAndBuild(g, deterministicProgram(phases, false, &info), seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // but re-tests accepted edges every phase, so its message complexity grows
 // to O(m·log n) instead of the paper's O(m + n·log n·log*n). The experiment
 // table quantifies the trade.
-func (nd *dnode) mwoeStepParallel(in sim.Input) sim.Input {
+func (nd *dnode) mwoeStepParallel() handler {
 	c := nd.c
 	nd.cand = dMin{Valid: false, W: noWeight}
 	nd.best = dMin{Valid: false, W: noWeight}
@@ -30,7 +30,7 @@ func (nd *dnode) mwoeStepParallel(in sim.Input) sim.Input {
 	testDone := !nd.active || pending == 0
 	reports := 0
 	replied := false
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
+	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
 			switch p := m.Payload.(type) {
 			case dTest:
@@ -67,40 +67,14 @@ func (nd *dnode) mwoeStepParallel(in sim.Input) sim.Input {
 			}
 		}
 		return nd.active && !replied
-	})
+	}
 }
 
 // DeterministicParallelMWOE runs the §3 partition with the A4 parallel
 // edge-testing variant (same output guarantees, different cost profile).
 func DeterministicParallelMWOE(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *DeterministicInfo, error) {
-	phases := DeterministicPhaseCount(g.N())
 	var info DeterministicInfo
-	prog := func(c *sim.Ctx) error {
-		nd := newDNode(c)
-		nd.parallelMWOE = true
-		cvIters := cvStepsFor(c.N())
-		localInfo := DeterministicInfo{CVSteps: cvIters}
-		in := sim.Input{}
-		for i := 0; i < phases; i++ {
-			done, next := nd.phase(in, i, cvIters)
-			in = next
-			localInfo.Phases = i + 1
-			if done {
-				break
-			}
-		}
-		localInfo.Finished = true
-		parent := graph.NodeID(-1)
-		if nd.parentEdge != -1 {
-			parent = c.Topo().Edge(nd.parentEdge).Other(c.ID())
-		}
-		c.SetResult(NodeOutcome{Parent: parent, ParentEdge: nd.parentEdge, Root: nd.frag})
-		if c.ID() == 0 {
-			info = localInfo
-		}
-		return nil
-	}
-	f, met, _, err := runAndBuild(g, prog, sim.WithSeed(seed))
+	f, met, err := runAndBuild(g, deterministicProgram(DeterministicPhaseCount(g.N()), true, &info), seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/forest"
@@ -13,7 +12,8 @@ import (
 
 // The randomized partitioning algorithm (§4). Iterations are synchronized by
 // their precomputed fixed length (the paper: "the processors can compute the
-// length of each iteration"). Iteration i:
+// length of each iteration"), so each node's machine keeps a round counter
+// into the current iteration. Iteration i:
 //
 //  1. every free node flips a coin with probability min(1, E_i/√n) — the
 //     tower E_0 = 1, E_{i+1} = e^{E_i} — and heads become local centers;
@@ -77,10 +77,12 @@ func iterationProbs(sqrtN int) []float64 {
 
 // rnode is one node's state in the randomized partition.
 type rnode struct {
-	c     *sim.Ctx
-	sqrtN int
-	dmax  int // BFS depth bound 4√n
-	cut   int // unfree label threshold 2√n
+	c        sim.Node
+	sqrtN    int
+	dmax     int // BFS depth bound 4√n
+	cut      int // unfree label threshold 2√n
+	probs    []float64
+	lasVegas bool
 
 	free       bool
 	label      int
@@ -93,19 +95,30 @@ type rnode struct {
 	childLinks      []int  // local link indices of current-iteration children
 	outcome         NodeOutcome
 	finished        bool
+
+	// Position: iteration it of the current attempt, round j of it
+	// (0 ≤ j < iterLen). Phases C–E keep their convergecast and verdict
+	// state here.
+	it, j    int
+	or       bool
+	reports  int
+	sentUp   bool
+	decided  bool
+	keepAll  bool
+	sentDown bool
+
+	// Las Vegas verification: the running Metcalfe–Boggs schedule, the
+	// restart count, and node 0's info.
+	mb       *resolve.MetcalfeBoggsStep
+	restarts int
+	info     *RandomizedInfo
+	result   any
 }
 
-func newRNode(c *sim.Ctx) *rnode {
-	nd := &rnode{
-		c:     c,
-		sqrtN: SqrtN(c.N()),
-		live:  make([]bool, c.Degree()),
-	}
-	nd.dmax = 4 * nd.sqrtN
-	nd.cut = 2 * nd.sqrtN
-	nd.reset()
-	return nd
-}
+// iterLen is the fixed length of one iteration in rounds: a coin-flip
+// round, dmax+1 BFS rounds, the status exchange, dmax+2 convergecast
+// rounds, dmax+2 verdict rounds and the unfree announcement.
+func (nd *rnode) iterLen() int { return 3*nd.dmax + 8 }
 
 // reset restores the initial all-free state (used on Las Vegas restarts).
 func (nd *rnode) reset() {
@@ -121,6 +134,7 @@ func (nd *rnode) reset() {
 	}
 	nd.childLinks = nil
 	nd.outcome = NodeOutcome{Parent: -1, ParentEdge: -1, Root: -1}
+	nd.it, nd.j = 0, 0
 }
 
 // sendLive sends p on every live link except the one with local index skip
@@ -150,108 +164,143 @@ func (nd *rnode) processDead(msgs []sim.Message) {
 	}
 }
 
-// iteration runs one full synchronized iteration with head probability p.
-// It consumes exactly 3*dmax + 8 rounds on every node.
-func (nd *rnode) iteration(p float64) {
-	c := nd.c
-	nd.inTree = false
-	nd.childLinks = nd.childLinks[:0]
-
-	// Phase A (1 round): coin flip.
-	if nd.free && c.Rand().Float64() < p {
-		nd.label = 0
-		nd.root = c.ID()
-		nd.parentEdge = -1
-		nd.inTree = true
-		nd.pendingAnnounce = true
+func (nd *rnode) Step(in sim.Input) bool {
+	switch {
+	case in.Round == 0:
+	case nd.mb != nil:
+		if !nd.mb.Poll(in) {
+			return false
+		}
+		if nd.verified() {
+			return true
+		}
+	default:
+		nd.j++
+		if nd.j < nd.iterLen() {
+			nd.receive(in.Msgs)
+			break
+		}
+		// The iteration's last round: the unfree announcements arrive and
+		// the next iteration starts in this same round.
+		nd.processDead(in.Msgs)
+		nd.it, nd.j = nd.it+1, 0
+		if nd.it == len(nd.probs) {
+			return nd.attemptDone()
+		}
 	}
-	in := c.Tick()
+	nd.act()
+	return false
+}
 
-	// Phase B (dmax+1 rounds): synchronous multi-source BFS over free nodes.
-	for b := 1; b <= nd.dmax+1; b++ {
-		if nd.pendingAnnounce && nd.label < nd.dmax {
+// receive digests the input of round j of the current iteration (the
+// messages sent in round j-1).
+func (nd *rnode) receive(msgs []sim.Message) {
+	d := nd.dmax
+	switch j := nd.j; {
+	case j == 1:
+		// Phase A sends nothing.
+	case j <= d+2:
+		nd.adopt(msgs)
+	case j == d+3:
+		nd.or, _ = nd.processStatus(msgs)
+		nd.reports = 0
+		nd.sentUp = false
+	case j <= 2*d+5:
+		for _, m := range msgs {
+			if cm, ok := m.Payload.(rpConv); ok {
+				nd.or = nd.or || cm.HasOutgoing
+				nd.reports++
+			}
+		}
+	default:
+		for _, m := range msgs {
+			if dm, ok := m.Payload.(rpDecide); ok {
+				nd.decided = true
+				nd.keepAll = dm.KeepAll
+			}
+		}
+	}
+}
+
+// act performs round j of the current iteration: its sends and state
+// changes.
+func (nd *rnode) act() {
+	c := nd.c
+	d := nd.dmax
+	switch j := nd.j; {
+	case j == 0:
+		// Phase A (1 round): coin flip.
+		nd.inTree = false
+		nd.childLinks = nd.childLinks[:0]
+		if nd.free && c.Rand().Float64() < nd.probs[nd.it] {
+			nd.label = 0
+			nd.root = c.ID()
+			nd.parentEdge = -1
+			nd.inTree = true
+			nd.pendingAnnounce = true
+		}
+	case j <= d+1:
+		// Phase B (dmax+1 rounds): synchronous multi-source BFS over free
+		// nodes.
+		if nd.pendingAnnounce && nd.label < d {
 			nd.sendLive(rpUpdate{Root: nd.root, Label: nd.label}, nd.parentLinkIdx())
 		}
 		nd.pendingAnnounce = false
-		in = c.Tick()
-		nd.adopt(in.Msgs)
-	}
-
-	// Phase C (1 round): status exchange on live links.
-	if nd.free {
-		pl := -1
-		if nd.inTree {
-			pl = nd.parentLinkIdx()
-		}
-		for l, ok := range nd.live {
-			if !ok {
-				continue
+	case j == d+2:
+		// Phase C (1 round): status exchange on live links.
+		if nd.free {
+			pl := -1
+			if nd.inTree {
+				pl = nd.parentLinkIdx()
 			}
-			c.Send(l, rpStatus{InTree: nd.inTree, Root: nd.root, ParentLink: nd.inTree && l == pl})
+			for l, ok := range nd.live {
+				if !ok {
+					continue
+				}
+				c.Send(l, rpStatus{InTree: nd.inTree, Root: nd.root, ParentLink: nd.inTree && l == pl})
+			}
 		}
-	}
-	in = c.Tick()
-	hasOutgoing, _ := nd.processStatus(in.Msgs)
-
-	// Phase D (dmax+2 rounds): convergecast OR(hasOutgoing) to the root.
-	or := hasOutgoing
-	reports := 0
-	sentUp := false
-	for k := 1; k <= nd.dmax+2; k++ {
-		if nd.inTree && !sentUp && reports == len(nd.childLinks) {
+	case j <= 2*d+4:
+		// Phase D (dmax+2 rounds): convergecast OR(hasOutgoing) to the
+		// root.
+		if nd.inTree && !nd.sentUp && nd.reports == len(nd.childLinks) {
 			if nd.label > 0 {
-				c.Send(nd.parentLinkIdx(), rpConv{HasOutgoing: or})
+				c.Send(nd.parentLinkIdx(), rpConv{HasOutgoing: nd.or})
 			}
-			sentUp = true
+			nd.sentUp = true
 		}
-		in = c.Tick()
-		for _, m := range in.Msgs {
-			if cm, ok := m.Payload.(rpConv); ok {
-				or = or || cm.HasOutgoing
-				reports++
+	case j <= 3*d+6:
+		// Phase E (dmax+2 rounds): root broadcasts the verdict down the
+		// tree.
+		if j == 2*d+5 {
+			nd.keepAll = false
+			nd.decided = nd.inTree && nd.label == 0
+			if nd.decided {
+				nd.keepAll = !nd.or
 			}
+			nd.sentDown = false
 		}
-	}
-
-	// Phase E (dmax+2 rounds): root broadcasts the verdict down the tree.
-	keepAll := false
-	decided := nd.inTree && nd.label == 0
-	if decided {
-		keepAll = !or
-	}
-	sentDown := false
-	for k := 1; k <= nd.dmax+2; k++ {
-		if decided && !sentDown {
+		if nd.decided && !nd.sentDown {
 			for _, l := range nd.childLinks {
-				c.Send(l, rpDecide{KeepAll: keepAll})
+				c.Send(l, rpDecide{KeepAll: nd.keepAll})
 			}
-			sentDown = true
+			nd.sentDown = true
 		}
-		in = c.Tick()
-		for _, m := range in.Msgs {
-			if dm, ok := m.Payload.(rpDecide); ok {
-				decided = true
-				keepAll = dm.KeepAll
+	default:
+		// Phase F (1 round): newly unfree nodes record their outcome and
+		// announce so incident links die.
+		if nd.inTree && nd.decided && (nd.keepAll || nd.label <= nd.cut) {
+			nd.free = false
+			nd.finished = true
+			nd.outcome = NodeOutcome{Parent: -1, ParentEdge: -1, Root: nd.root}
+			if nd.label > 0 {
+				e := c.Topo().Edge(nd.parentEdge)
+				nd.outcome.Parent = e.Other(c.ID())
+				nd.outcome.ParentEdge = nd.parentEdge
 			}
+			nd.sendLive(rpUnfree{}, -1)
 		}
 	}
-
-	// Phase F (1 round): newly unfree nodes record their outcome and
-	// announce so incident links die. The announcements arrive in the input
-	// of this phase's tick and are absorbed immediately.
-	if nd.inTree && decided && (keepAll || nd.label <= nd.cut) {
-		nd.free = false
-		nd.finished = true
-		nd.outcome = NodeOutcome{Parent: -1, ParentEdge: -1, Root: nd.root}
-		if nd.label > 0 {
-			e := c.Topo().Edge(nd.parentEdge)
-			nd.outcome.Parent = e.Other(c.ID())
-			nd.outcome.ParentEdge = nd.parentEdge
-		}
-		nd.sendLive(rpUnfree{}, -1)
-	}
-	in = c.Tick()
-	nd.processDead(in.Msgs)
 }
 
 // adopt applies the BFS adoption rule to one round's updates: take the
@@ -320,45 +369,80 @@ func (nd *rnode) processStatus(msgs []sim.Message) (hasOutgoing bool, removed in
 	return hasOutgoing, removed
 }
 
-// randomizedProgram runs the Monte Carlo partition; if lasVegas is true it
-// appends the §4 verification (schedule the cores on the channel for 8√n
-// slots via Metcalfe–Boggs; restart unless all cores were scheduled and
-// there are at most 2√n of them).
-func randomizedProgram(lasVegas bool, maxRestarts int, infoSink func(RandomizedInfo)) sim.Program {
-	return func(c *sim.Ctx) error {
-		nd := newRNode(c)
-		probs := iterationProbs(nd.sqrtN)
-		info := RandomizedInfo{Iterations: len(probs)}
-		for attempt := 0; ; attempt++ {
-			for _, p := range probs {
-				nd.iteration(p)
-			}
-			if !nd.finished {
-				return fmt.Errorf("node %d still free after final iteration", c.ID())
-			}
-			if !lasVegas {
-				break
-			}
-			isRoot := nd.outcome.ParentEdge == -1
-			sched, done, _ := resolve.MetcalfeBoggs(c, sim.Input{}, nd.sqrtN, isRoot, int(c.ID()), nil, 4*nd.sqrtN)
-			if done && len(sched) <= 2*nd.sqrtN {
-				info.RootOrder = make([]graph.NodeID, len(sched))
-				for i, s := range sched {
-					info.RootOrder[i] = graph.NodeID(s.ID)
-				}
-				break
-			}
-			info.Restarts++
-			if attempt+1 >= maxRestarts {
-				return fmt.Errorf("%w after %d attempts", ErrLasVegasRestarts, maxRestarts)
-			}
-			nd.reset()
+// attemptDone ends an attempt's last iteration. The Monte Carlo partition
+// halts here; the Las Vegas one appends the §4 verification: schedule the
+// cores on the channel for 8√n slots via Metcalfe–Boggs, starting in this
+// round, and restart unless all cores were scheduled and there are at most
+// 2√n of them.
+func (nd *rnode) attemptDone() bool {
+	if !nd.finished {
+		nd.c.Failf("node %d still free after final iteration", nd.c.ID())
+	}
+	if !nd.lasVegas {
+		return nd.halt(nil)
+	}
+	isRoot := nd.outcome.ParentEdge == -1
+	nd.mb = resolve.NewMetcalfeBoggsStep(nd.c, nd.sqrtN, isRoot, int(nd.c.ID()), nil, 4*nd.sqrtN)
+	if nd.mb.Begin() {
+		if nd.verified() {
+			return true
 		}
-		c.SetResult(nd.outcome)
-		if infoSink != nil && c.ID() == 0 {
-			infoSink(info)
+		nd.act()
+	}
+	return false
+}
+
+// verified judges a finished verification. On success it halts the node
+// with the verified core order; otherwise it restarts the partition, whose
+// first iteration the caller starts in this same round.
+func (nd *rnode) verified() bool {
+	mb := nd.mb
+	nd.mb = nil
+	if mb.Done && len(mb.Sched) <= 2*nd.sqrtN {
+		order := make([]graph.NodeID, len(mb.Sched))
+		for i, s := range mb.Sched {
+			order[i] = graph.NodeID(s.ID)
 		}
-		return nil
+		return nd.halt(order)
+	}
+	nd.restarts++
+	if nd.restarts >= lasVegasAttempts {
+		nd.c.Failf("%w after %d attempts", ErrLasVegasRestarts, lasVegasAttempts)
+	}
+	nd.reset()
+	return false
+}
+
+// halt records the node's outcome, and at node 0 the run's info.
+func (nd *rnode) halt(rootOrder []graph.NodeID) bool {
+	nd.result = nd.outcome
+	if nd.c.ID() == 0 {
+		*nd.info = RandomizedInfo{Iterations: len(nd.probs), Restarts: nd.restarts, RootOrder: rootOrder}
+	}
+	return true
+}
+
+func (nd *rnode) Result() any { return nd.result }
+
+// lasVegasAttempts bounds the Las Vegas wrapper's attempts.
+const lasVegasAttempts = 50
+
+// randomizedProgram runs the Monte Carlo partition, or with lasVegas the
+// verified Las Vegas one.
+func randomizedProgram(lasVegas bool, info *RandomizedInfo) sim.StepProgram {
+	return func(c sim.Node) sim.Machine {
+		nd := &rnode{
+			c:        c,
+			sqrtN:    SqrtN(c.N()),
+			live:     make([]bool, c.Degree()),
+			lasVegas: lasVegas,
+			info:     info,
+		}
+		nd.dmax = 4 * nd.sqrtN
+		nd.cut = 2 * nd.sqrtN
+		nd.probs = iterationProbs(nd.sqrtN)
+		nd.reset()
+		return nd
 	}
 }
 
@@ -366,8 +450,7 @@ func randomizedProgram(lasVegas bool, maxRestarts int, infoSink func(RandomizedI
 // spanning forest, the run's metrics, and auxiliary info.
 func Randomized(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *RandomizedInfo, error) {
 	var info RandomizedInfo
-	f, met, _, err := runAndBuild(g, randomizedProgram(false, 1, func(i RandomizedInfo) { info = i }),
-		sim.WithSeed(seed))
+	f, met, err := runAndBuild(g, randomizedProgram(false, &info), seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -380,8 +463,7 @@ func Randomized(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *Ra
 // bound. The verified core schedule is returned in the info.
 func RandomizedLasVegas(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *RandomizedInfo, error) {
 	var info RandomizedInfo
-	f, met, _, err := runAndBuild(g, randomizedProgram(true, 50, func(i RandomizedInfo) { info = i }),
-		sim.WithSeed(seed))
+	f, met, err := runAndBuild(g, randomizedProgram(true, &info), seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}

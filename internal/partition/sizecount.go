@@ -34,7 +34,7 @@ func CountNodes(g graph.Topology, seed int64, idUniverse int) (*SizeCountResult,
 	if idUniverse < g.N() {
 		return nil, nil, fmt.Errorf("partition: id universe %d below node count %d", idUniverse, g.N())
 	}
-	res, err := sim.Run(g, sizeProgram(idUniverse), sim.WithSeed(seed))
+	res, err := sim.RunStep(g, sizeProgram(idUniverse), sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,47 +50,113 @@ func CountNodes(g graph.Topology, seed int64, idUniverse int) (*SizeCountResult,
 	return &first, &res.Metrics, nil
 }
 
-func sizeProgram(idUniverse int) sim.Program {
-	return func(c *sim.Ctx) error {
-		nd := newDNode(c)
-		cvIters := cvStepsFor(idUniverse)
-		idBits := bits.Len(uint(idUniverse - 1))
-		in := sim.Input{}
-		for i := 0; i < maxSizePhases; i++ {
-			_, next := nd.phase(in, i, cvIters)
-			in = next
-			// Probe: can the cores be scheduled within the phase budget?
-			budget := 2*(1<<uint(min(i, 30)))*(idBits+2) + 4
-			sched, complete, next2 := resolve.CapetanakisBounded(
-				c, in, idUniverse, nd.isCore(), int(c.ID()), nil, budget)
-			in = next2
-			if !complete || len(sched) > 1<<uint(min(i, 30)) {
-				continue
-			}
-			// Success: re-count fragment sizes and broadcast them in
-			// schedule order; the sum is n.
-			in = nd.countStep(in)
-			total := 0
-			for _, s := range sched {
-				if graph.NodeID(s.ID) == c.ID() {
-					c.Broadcast(sizeSlot{Size: nd.size})
-				}
-				in = c.Tick()
-				if in.Slot.State != sim.SlotSuccess {
-					return fmt.Errorf("size slot for core %d was %v", s.ID, in.Slot.State)
-				}
-				total += in.Slot.Payload.(sizeSlot).Size
-			}
-			c.SetResult(SizeCountResult{N: total, Phases: i + 1})
-			return nil
-		}
-		return fmt.Errorf("size probe never succeeded within %d phases", maxSizePhases)
+// sizeMachine runs the §7.3 algorithm: partition phases, each followed by
+// a bounded Capetanakis probe of the cores, and once a probe succeeds the
+// fragment census and one size slot per scheduled core.
+type sizeMachine struct {
+	dnode
+	script     []dstep
+	idUniverse int
+	idBits     int
+
+	stage int
+	phase int
+	probe *resolve.CapetanakisStep
+	sched []resolve.ScheduledItem // the cores, once a probe succeeded
+	slot  int                     // the size slot awaiting its outcome
+	total int
+	result any
+}
+
+// sizeMachine stages.
+const (
+	szPhase  = iota // a partition phase
+	szProbe         // the Capetanakis probe after it
+	szCensus        // the fragment census after a successful probe
+	szSlots         // the size slots
+)
+
+// countScript is the fragment census alone.
+var countScript = []dstep{{open: (*dnode).countStep}}
+
+func sizeProgram(idUniverse int) sim.StepProgram {
+	script := phaseScript(cvStepsFor(idUniverse), false)
+	idBits := bits.Len(uint(idUniverse - 1))
+	return func(c sim.Node) sim.Machine {
+		return &sizeMachine{dnode: newDNode(c), script: script, idUniverse: idUniverse, idBits: idBits}
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+func (m *sizeMachine) Step(in sim.Input) bool {
+	switch {
+	case in.Round == 0:
+		m.beginPhase(m.script, 0)
+	case m.stage == szProbe:
+		if !m.probe.Poll(in) {
+			return false
+		}
+		m.probed()
+	case m.stage == szSlots:
+		return m.sizeSlot(in)
 	}
-	return b
+	for m.advance(in) {
+		if m.stage == szCensus {
+			// Broadcast the sizes in schedule order, starting in this
+			// round; their sum is n.
+			m.stage, m.slot = szSlots, -1
+			return m.openSlot()
+		}
+		// Probe: can the cores be scheduled within the phase budget?
+		budget := 2*(1<<uint(min(m.phase, 30)))*(m.idBits+2) + 4
+		m.probe = resolve.NewCapetanakisStep(m.c, m.idUniverse, m.isCore(), int(m.c.ID()), nil, budget)
+		m.stage = szProbe
+		if !m.probe.Begin() {
+			return false
+		}
+		m.probed()
+	}
+	return false
 }
+
+// probed judges a finished probe and starts what follows it in this round:
+// the census when the schedule is complete and short enough, otherwise the
+// next phase.
+func (m *sizeMachine) probed() {
+	if m.probe.Complete && len(m.probe.Sched) <= 1<<uint(min(m.phase, 30)) {
+		m.sched = m.probe.Sched
+		m.stage = szCensus
+		m.run(countScript)
+		return
+	}
+	m.phase++
+	if m.phase == maxSizePhases {
+		m.c.Failf("size probe never succeeded within %d phases", maxSizePhases)
+	}
+	m.stage = szPhase
+	m.beginPhase(m.script, m.phase)
+}
+
+// openSlot stages the broadcast of the next size slot, or halts once every
+// scheduled core has spoken.
+func (m *sizeMachine) openSlot() bool {
+	m.slot++
+	if m.slot == len(m.sched) {
+		m.result = SizeCountResult{N: m.total, Phases: m.phase + 1}
+		return true
+	}
+	if graph.NodeID(m.sched[m.slot].ID) == m.c.ID() {
+		m.c.Broadcast(sizeSlot{Size: m.size})
+	}
+	return false
+}
+
+// sizeSlot consumes one size slot's outcome.
+func (m *sizeMachine) sizeSlot(in sim.Input) bool {
+	if in.Slot.State != sim.SlotSuccess {
+		m.c.Failf("size slot for core %d was %v", m.sched[m.slot].ID, in.Slot.State)
+	}
+	m.total += in.Slot.Payload.(sizeSlot).Size
+	return m.openSlot()
+}
+
+func (m *sizeMachine) Result() any { return m.result }

@@ -3,6 +3,7 @@ package resolve
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,19 +11,17 @@ import (
 	"repro/internal/sim"
 )
 
-// runProtocol executes one resolution protocol on a ring of n nodes with the
-// given contender set and returns per-node results plus metrics.
-func runProtocol(t *testing.T, n int, seed int64, prog sim.Program) *sim.Result {
+// runComponent runs one component per node of an n-node ring, as a whole
+// run on both engines (see runBothEngines), and returns the step engine's
+// run. mk builds a node's component and the value the node records when the
+// component finishes.
+func runComponent(t *testing.T, n int, seed int64, mk func(c sim.Node) (Component, func() any)) *sim.Result {
 	t.Helper()
 	g, err := graph.Ring(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(g, prog, sim.WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runBothEngines(t, g, seed, func(c sim.Node) sim.Machine { return Machine(mk(c)) })
 }
 
 func schedIDs(s []ScheduledItem) []int {
@@ -52,52 +51,41 @@ func TestCapetanakisSchedulesAllContenders(t *testing.T) {
 			for _, c := range tt.contenders {
 				isC[c] = true
 			}
-			res := runProtocol(t, tt.n, 1, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				sched, _ := Capetanakis(ctx, sim.Input{}, ctx.N(), isC[id], id, fmt.Sprintf("p%d", id))
-				ctx.SetResult(fmt.Sprint(schedIDs(sched)))
-				return nil
+			res := runComponent(t, tt.n, 1, func(c sim.Node) (Component, func() any) {
+				id := int(c.ID())
+				s := NewCapetanakisStep(c, c.N(), isC[id], id, fmt.Sprintf("p%d", id), 0)
+				return s, func() any { return schedIDs(s.Sched) }
 			})
-			want := append([]int(nil), tt.contenders...)
-			sort.Ints(want)
-			got := res.Results[0].(string)
-			ids := fmt.Sprint(want)
 			// The schedule must contain exactly the contenders; order is
-			// protocol-determined but identical everywhere. Sort-compare.
-			var parsed string = got
-			_ = parsed
+			// protocol-determined but identical everywhere.
+			got := res.Results[0].([]int)
 			for v := 1; v < tt.n; v++ {
-				if res.Results[v] != got {
+				if !reflect.DeepEqual(res.Results[v], got) {
 					t.Fatalf("node %d schedule %v != node 0 schedule %v", v, res.Results[v], got)
 				}
 			}
-			// Re-run capturing raw ids at node 0 for the sorted comparison.
-			res2 := runProtocol(t, tt.n, 1, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				sched, _ := Capetanakis(ctx, sim.Input{}, ctx.N(), isC[id], id, nil)
-				s := schedIDs(sched)
-				sort.Ints(s)
-				ctx.SetResult(fmt.Sprint(s))
-				return nil
-			})
-			if res2.Results[0].(string) != ids {
-				t.Errorf("scheduled ids = %v, want %v", res2.Results[0], ids)
+			sorted := append([]int{}, got...)
+			sort.Ints(sorted)
+			want := append([]int{}, tt.contenders...)
+			sort.Ints(want)
+			if fmt.Sprint(sorted) != fmt.Sprint(want) {
+				t.Errorf("scheduled ids = %v, want %v", sorted, want)
 			}
 		})
 	}
 }
 
 func TestCapetanakisPayloadsDelivered(t *testing.T) {
-	res := runProtocol(t, 8, 1, func(ctx *sim.Ctx) error {
-		id := int(ctx.ID())
-		contend := id == 2 || id == 6
-		sched, _ := Capetanakis(ctx, sim.Input{}, ctx.N(), contend, id, id*100)
-		sum := 0
-		for _, it := range sched {
-			sum += it.Payload.(int)
+	res := runComponent(t, 8, 1, func(c sim.Node) (Component, func() any) {
+		id := int(c.ID())
+		s := NewCapetanakisStep(c, c.N(), id == 2 || id == 6, id, id*100, 0)
+		return s, func() any {
+			sum := 0
+			for _, it := range s.Sched {
+				sum += it.Payload.(int)
+			}
+			return sum
 		}
-		ctx.SetResult(sum)
-		return nil
 	})
 	for v, r := range res.Results {
 		if r != 800 {
@@ -112,18 +100,10 @@ func TestCapetanakisSlotBound(t *testing.T) {
 	n := 64
 	for _, k := range []int{1, 4, 16, 64} {
 		isC := func(id int) bool { return id%(n/k) == 0 }
-		g, err := graph.Ring(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-			id := int(ctx.ID())
-			Capetanakis(ctx, sim.Input{}, ctx.N(), isC(id), id, nil)
-			return nil
+		res := runComponent(t, n, 1, func(c sim.Node) (Component, func() any) {
+			id := int(c.ID())
+			return NewCapetanakisStep(c, c.N(), isC(id), id, nil, 0), func() any { return nil }
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		slots := res.Metrics.Rounds
 		bound := 4*k*(1+int(math.Log2(float64(n/k)+1))) + 8
 		if slots > bound {
@@ -132,21 +112,37 @@ func TestCapetanakisSlotBound(t *testing.T) {
 	}
 }
 
+func TestCapetanakisBudget(t *testing.T) {
+	// A one-slot budget cannot resolve a collision: every node gives up
+	// after the first slot with an incomplete schedule.
+	res := runComponent(t, 8, 1, func(c sim.Node) (Component, func() any) {
+		s := NewCapetanakisStep(c, c.N(), true, int(c.ID()), nil, 1)
+		return s, func() any { return [2]int{len(s.Sched), b2i(s.Complete)} }
+	})
+	for v, r := range res.Results {
+		if r != [2]int{0, 0} {
+			t.Errorf("node %d: (scheduled, complete) = %v, want [0 0]", v, r)
+		}
+	}
+	if res.Metrics.Rounds != 2 {
+		t.Errorf("rounds = %d, want 2", res.Metrics.Rounds)
+	}
+}
+
 func TestMetcalfeBoggsSchedulesAll(t *testing.T) {
 	for _, k := range []int{0, 1, 3, 10} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			n := 16
-			res := runProtocol(t, n, 42, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				contend := id < k
-				sched, done, _ := MetcalfeBoggs(ctx, sim.Input{}, k, contend, id, id, 0)
-				if !done {
-					return fmt.Errorf("unbounded MB reported not done")
+			res := runComponent(t, 16, 42, func(c sim.Node) (Component, func() any) {
+				id := int(c.ID())
+				s := NewMetcalfeBoggsStep(c, k, id < k, id, id, 0)
+				return s, func() any {
+					if !s.Done {
+						c.Failf("unbounded MB reported not done")
+					}
+					ids := schedIDs(s.Sched)
+					sort.Ints(ids)
+					return fmt.Sprint(ids)
 				}
-				s := schedIDs(sched)
-				sort.Ints(s)
-				ctx.SetResult(fmt.Sprint(s))
-				return nil
 			})
 			want := make([]int, k)
 			for i := range want {
@@ -164,21 +160,13 @@ func TestMetcalfeBoggsSchedulesAll(t *testing.T) {
 func TestMetcalfeBoggsExpectedLinear(t *testing.T) {
 	// Average slot pairs over seeds should be within a small constant of k.
 	n, k := 64, 32
-	g, err := graph.Ring(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := 0
 	const seeds = 10
 	for s := int64(0); s < seeds; s++ {
-		res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-			id := int(ctx.ID())
-			MetcalfeBoggs(ctx, sim.Input{}, k, id < k, id, nil, 0)
-			return nil
-		}, sim.WithSeed(s))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runComponent(t, n, s, func(c sim.Node) (Component, func() any) {
+			id := int(c.ID())
+			return NewMetcalfeBoggsStep(c, k, id < k, id, nil, 0), func() any { return nil }
+		})
 		total += res.Metrics.Rounds
 	}
 	avgPairs := float64(total) / seeds / 2
@@ -190,11 +178,10 @@ func TestMetcalfeBoggsExpectedLinear(t *testing.T) {
 func TestMetcalfeBoggsBounded(t *testing.T) {
 	// With a 1-pair budget and many contenders, done must be false (w.h.p.
 	// there is a collision, and certainly not all 8 can be scheduled).
-	res := runProtocol(t, 16, 7, func(ctx *sim.Ctx) error {
-		id := int(ctx.ID())
-		_, done, _ := MetcalfeBoggs(ctx, sim.Input{}, 8, id < 8, id, nil, 1)
-		ctx.SetResult(done)
-		return nil
+	res := runComponent(t, 16, 7, func(c sim.Node) (Component, func() any) {
+		id := int(c.ID())
+		s := NewMetcalfeBoggsStep(c, 8, id < 8, id, nil, 1)
+		return s, func() any { return s.Done }
 	})
 	for v, r := range res.Results {
 		if r != false {
@@ -223,11 +210,10 @@ func TestElection(t *testing.T) {
 			for _, c := range tt.contenders {
 				isC[c] = true
 			}
-			res := runProtocol(t, 16, 1, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				leader, ok, _ := Election(ctx, sim.Input{}, ctx.N(), isC[id], id)
-				ctx.SetResult([2]int{leader, b2i(ok)})
-				return nil
+			res := runComponent(t, 16, 1, func(c sim.Node) (Component, func() any) {
+				id := int(c.ID())
+				e := NewElectionStep(c, c.N(), isC[id], id)
+				return e, func() any { return [2]int{e.Leader, b2i(e.OK)} }
 			})
 			for v, r := range res.Results {
 				got := r.([2]int)
@@ -244,19 +230,10 @@ func TestElection(t *testing.T) {
 
 func TestElectionSlotCount(t *testing.T) {
 	// 1 liveness slot + ⌈log2 n⌉ bit slots, plus the trailing round in
-	// which the programs halt.
-	n := 32
-	g, err := graph.Ring(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-		Election(ctx, sim.Input{}, ctx.N(), true, int(ctx.ID()))
-		return nil
+	// which the nodes halt.
+	res := runComponent(t, 32, 1, func(c sim.Node) (Component, func() any) {
+		return NewElectionStep(c, c.N(), true, int(c.ID())), func() any { return nil }
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Metrics.Rounds != 1+5+1 {
 		t.Errorf("rounds = %d, want 7", res.Metrics.Rounds)
 	}
@@ -265,20 +242,12 @@ func TestElectionSlotCount(t *testing.T) {
 func TestGreenbergLadnerEstimate(t *testing.T) {
 	// Median estimate across seeds should be within a constant factor of n.
 	for _, n := range []int{16, 64, 256} {
-		g, err := graph.Ring(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var ratios []float64
 		for s := int64(0); s < 21; s++ {
-			res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-				est, _ := GreenbergLadner(ctx, sim.Input{}, true)
-				ctx.SetResult(est)
-				return nil
-			}, sim.WithSeed(s))
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runComponent(t, n, s, func(c sim.Node) (Component, func() any) {
+				gl := NewGreenbergLadnerStep(c, true)
+				return gl, func() any { return gl.Estimate }
+			})
 			est := res.Results[0].(int64)
 			for v := 1; v < n; v++ {
 				if res.Results[v] != est {
@@ -300,66 +269,4 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func TestRandomizedElection(t *testing.T) {
-	tests := []struct {
-		name       string
-		contenders []int
-		wantOK     bool
-	}{
-		{"none", nil, false},
-		{"single", []int{5}, true},
-		{"few", []int{1, 6, 11}, true},
-		{"all", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			isC := make(map[int]bool)
-			for _, c := range tt.contenders {
-				isC[c] = true
-			}
-			res := runProtocol(t, 16, 3, func(ctx *sim.Ctx) error {
-				leader, ok, _ := RandomizedElection(ctx, sim.Input{}, isC[int(ctx.ID())])
-				ctx.SetResult([2]int{leader, b2i(ok)})
-				return nil
-			})
-			first := res.Results[0].([2]int)
-			if first[1] != b2i(tt.wantOK) {
-				t.Fatalf("ok = %d, want %v", first[1], tt.wantOK)
-			}
-			if tt.wantOK && !isC[first[0]] {
-				t.Errorf("leader %d is not a contender", first[0])
-			}
-			for v, r := range res.Results {
-				if r != first {
-					t.Errorf("node %d disagrees: %v vs %v", v, r, first)
-				}
-			}
-		})
-	}
-}
-
-func TestRandomizedElectionExpectedSlots(t *testing.T) {
-	// Average slots across seeds should stay small (O(log n) expected).
-	n := 64
-	g, err := graph.Ring(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	const seeds = 10
-	for s := int64(0); s < seeds; s++ {
-		res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-			RandomizedElection(ctx, sim.Input{}, true)
-			return nil
-		}, sim.WithSeed(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += res.Metrics.Rounds
-	}
-	if avg := float64(total) / seeds; avg > 60 {
-		t.Errorf("avg %.1f slots, expected O(log n)", avg)
-	}
 }

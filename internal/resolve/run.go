@@ -10,36 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// electMachine runs the deterministic election with every node contending.
-type electMachine struct {
-	c      sim.Node
-	e      *ElectionStep
-	leader any
-}
-
-func (m *electMachine) Step(in sim.Input) bool {
-	if in.Round == 0 {
-		m.e.Begin()
-		return false
-	}
-	if !m.e.Poll(in) {
-		return false
-	}
-	if !m.e.OK {
-		m.c.Failf("no contenders")
-	}
-	m.leader = m.e.Leader
-	return true
-}
-
-func (m *electMachine) Result() any { return m.leader }
-
 // Elect runs the §2 deterministic election over the whole network on
 // sim.DefaultEngine, every node contending with its own id; the winner is
 // the maximum id, known to every node.
 func Elect(g graph.Topology, seed int64) (leader int, met sim.Metrics, err error) {
 	res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
-		return &electMachine{c: c, e: NewElectionStep(c, c.N(), true, int(c.ID()))}
+		e := NewElectionStep(c, c.N(), true, int(c.ID()))
+		return Machine(e, func() any {
+			if !e.OK {
+				c.Failf("no contenders")
+			}
+			return e.Leader
+		})
 	}, sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine))
 	if err != nil {
 		return 0, sim.Metrics{}, err

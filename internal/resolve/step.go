@@ -1,17 +1,7 @@
 package resolve
 
-// step.go holds the conflict-resolution sub-protocols themselves, each a
-// per-round component a sim.Machine embeds. The blocking forms in
-// resolve.go are thin loops over these components, so every protocol's
-// slot logic is written once.
-//
-// Usage pattern: the machine calls Begin once, in the round the protocol
-// starts (its broadcasts are staged in that round), then feeds every
-// subsequent round's Input through Poll until it reports done. When Poll
-// reports done the machine continues its own next stage in the same Step
-// call with the same Input. The only information consumed is the public
-// slot sequence, so every node finishes in the same round with the same
-// result.
+// step.go holds the conflict-resolution protocols themselves, each a
+// Component (see resolve.go for the calling convention).
 
 import (
 	"repro/internal/sim"
@@ -20,10 +10,20 @@ import (
 // interval is one id range on the Capetanakis splitting stack.
 type interval struct{ lo, hi int }
 
-// CapetanakisStep is the Capetanakis tree-splitting resolution (see
-// CapetanakisBounded). After Poll reports done, Sched holds the schedule
-// and Complete reports whether the resolution finished within the slot
-// budget.
+// CapetanakisStep is the deterministic tree-splitting resolution over the
+// id space [0, idSpace). A node participates as a contender iff contending
+// is true, with the given distinct id and payload. After Poll reports done,
+// Sched holds the schedule — every contender's id and payload, identical at
+// every node — and Complete reports whether the resolution finished within
+// the slot budget.
+//
+// The protocol maintains a stack of id intervals, initially {[0, idSpace)},
+// replicated at every node from the public slot outcomes: contenders in the
+// top interval transmit; idle pops, success records and pops, collision
+// splits the interval in two. With k contenders it uses O(k·log(idSpace/k))
+// slots, the bound the paper cites for scheduling fragment cores. The slot
+// budget lets the §7.3 size computation probe whether at most 2^i fragments
+// remain after phase i.
 type CapetanakisStep struct {
 	c sim.Node
 
@@ -40,8 +40,8 @@ type CapetanakisStep struct {
 	slots int
 }
 
-// NewCapetanakisStep returns the component in its pre-Begin state. The
-// parameters mirror CapetanakisBounded; maxSlots <= 0 means no budget.
+// NewCapetanakisStep returns the component in its pre-Begin state;
+// maxSlots <= 0 means no slot budget.
 func NewCapetanakisStep(c sim.Node, idSpace int, contending bool, myID int, payload sim.Payload, maxSlots int) *CapetanakisStep {
 	if idSpace < 1 {
 		idSpace = 1
@@ -100,8 +100,15 @@ func (s *CapetanakisStep) Poll(in sim.Input) (done bool) {
 	return s.transmit()
 }
 
-// ElectionStep is the bit-by-bit deterministic leader election of §2 (see
-// Election). After Poll reports done, Leader and OK hold the result.
+// ElectionStep is the bit-by-bit deterministic leader election of §2 over
+// the id space [0, idSpace): in each slot the surviving contenders whose
+// current id bit is 1 transmit a busy tone; a non-idle slot eliminates the
+// bit-0 survivors. After ⌈log idSpace⌉ slots the unique survivor is the
+// contender with the maximum id, and every node reconstructs that id from
+// the public slot outcomes. A leading liveness slot distinguishes "no
+// contenders" (OK == false). Takes O(log idSpace) slots, the paper's
+// O(log n) deterministic election. After Poll reports done, Leader and OK
+// hold the result.
 type ElectionStep struct {
 	c sim.Node
 
@@ -122,10 +129,11 @@ func NewElectionStep(c sim.Node, idSpace int, contending bool, myID int) *Electi
 }
 
 // Begin stages the liveness slot's transmission.
-func (s *ElectionStep) Begin() {
+func (s *ElectionStep) Begin() (done bool) {
 	if s.contending {
 		s.c.Busy()
 	}
+	return false
 }
 
 // Poll consumes one slot outcome and stages the next bit's transmission.
@@ -160,10 +168,14 @@ func (s *ElectionStep) Poll(in sim.Input) (done bool) {
 	return false
 }
 
-// GreenbergLadnerStep is the §7.4 randomized size estimator (see
-// GreenbergLadner). After Poll reports done, Estimate holds 2^k. Probe is
-// the index of the probe awaiting its outcome, exported with Estimate so a
-// checkpointing machine can save and restore the component.
+// GreenbergLadnerStep is the §7.4 randomized size estimator: in round i
+// every participant transmits a busy tone with probability 1/2^i; the
+// protocol ends at the first idle slot, after k rounds, and every node
+// learns the estimate 2^k. For k participants the estimate is within a
+// constant factor of k with high probability. After Poll reports done,
+// Estimate holds 2^k. Probe is the index of the probe awaiting its outcome,
+// exported with Estimate so a checkpointing machine can save and restore
+// the component.
 type GreenbergLadnerStep struct {
 	c sim.Node
 
@@ -179,7 +191,10 @@ func NewGreenbergLadnerStep(c sim.Node, participating bool) *GreenbergLadnerStep
 }
 
 // Begin stages the first probe's transmission.
-func (s *GreenbergLadnerStep) Begin() { s.transmit() }
+func (s *GreenbergLadnerStep) Begin() (done bool) {
+	s.transmit()
+	return false
+}
 
 func (s *GreenbergLadnerStep) transmit() {
 	s.Probe++
@@ -202,10 +217,19 @@ func (s *GreenbergLadnerStep) Poll(in sim.Input) (done bool) {
 	return false
 }
 
-// MetcalfeBoggsStep is randomized contention resolution with paired
-// data/liveness slots (see MetcalfeBoggs). After Poll reports
-// done, Sched holds the schedule and Done whether every contender was
-// scheduled within the pair budget.
+// MetcalfeBoggsStep is randomized contention resolution with paired slots:
+// even slots carry data transmissions (each unscheduled contender transmits
+// with probability 1/k̂), odd slots carry a liveness busy tone from every
+// still-unscheduled contender. The first idle liveness slot ends the
+// protocol, so termination is exact without any shared knowledge beyond the
+// slot sequence. k̂ starts at max(1, estimate) and adapts multiplicatively
+// (collision ×2, idle ÷2, success −1), which recovers from bad estimates.
+// With an accurate estimate the expected number of pairs is O(k), matching
+// the O(1) expected slots per root the paper cites.
+//
+// After Poll reports done, Sched holds the schedule and Done whether every
+// contender was scheduled within the pair budget (the Las Vegas partition
+// verifier of §4 gives up after a bounded number of pairs).
 type MetcalfeBoggsStep struct {
 	c sim.Node
 
@@ -222,8 +246,8 @@ type MetcalfeBoggsStep struct {
 	liveness bool // the outcome being awaited is a liveness slot
 }
 
-// NewMetcalfeBoggsStep returns the component in its pre-Begin state; the
-// parameters mirror MetcalfeBoggs.
+// NewMetcalfeBoggsStep returns the component in its pre-Begin state;
+// maxPairs <= 0 means no pair budget.
 func NewMetcalfeBoggsStep(c sim.Node, estimate int, contending bool, myID int, payload sim.Payload, maxPairs int) *MetcalfeBoggsStep {
 	khat := estimate
 	if khat < 1 {

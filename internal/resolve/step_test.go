@@ -67,8 +67,7 @@ func runBothEngines(t *testing.T, g graph.Topology, seed int64, prog sim.StepPro
 }
 
 // TestCapetanakisEngineEquivalence runs Capetanakis with a subset of
-// contenders on both engines, and through the blocking form, and compares
-// schedule and metrics.
+// contenders on both engines and compares schedule and metrics.
 func TestCapetanakisEngineEquivalence(t *testing.T) {
 	g, err := graph.Ring(24, 1)
 	if err != nil {
@@ -76,90 +75,25 @@ func TestCapetanakisEngineEquivalence(t *testing.T) {
 	}
 	contender := func(id graph.NodeID) bool { return id%3 == 0 }
 	stRes := runBothEngines(t, g, 1, func(c sim.Node) sim.Machine {
-		return &capTestMachine{s: NewCapetanakisStep(c, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10, 0)}
+		s := NewCapetanakisStep(c, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10, 0)
+		return Machine(s, func() any { return s.Sched })
 	})
 	if sched := stRes.Results[0].([]ScheduledItem); len(sched) != 8 {
 		t.Errorf("scheduled %d contenders, want 8", len(sched))
 	}
-
-	blkRes, err := sim.Run(g, func(c *sim.Ctx) error {
-		sched, _ := Capetanakis(c, sim.Input{}, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10)
-		c.SetResult(sched)
-		return nil
-	}, sim.WithSeed(1), sim.WithEngine(sim.EngineGoroutine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(blkRes.Results, stRes.Results) || !reflect.DeepEqual(blkRes.Metrics, stRes.Metrics) {
-		t.Errorf("blocking form diverges from the machine:\n blocking: %+v\n machine:  %+v", blkRes.Metrics, stRes.Metrics)
-	}
 }
-
-type capTestMachine struct {
-	s     *CapetanakisStep
-	sched any
-}
-
-func (m *capTestMachine) Step(in sim.Input) bool {
-	if in.Round == 0 {
-		if m.s.Begin() {
-			m.sched = m.s.Sched
-			return true
-		}
-		return false
-	}
-	if !m.s.Poll(in) {
-		return false
-	}
-	m.sched = m.s.Sched
-	return true
-}
-
-func (m *capTestMachine) Result() any { return m.sched }
 
 // TestMetcalfeBoggsEngineEquivalence compares the randomized contention
-// component draw-for-draw across engines and with the blocking form.
+// component draw-for-draw across engines.
 func TestMetcalfeBoggsEngineEquivalence(t *testing.T) {
 	g, err := graph.Ring(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 7, 99} {
-		stRes := runBothEngines(t, g, seed, func(c sim.Node) sim.Machine {
-			return &mbTestMachine{s: NewMetcalfeBoggsStep(c, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)}
+		runBothEngines(t, g, seed, func(c sim.Node) sim.Machine {
+			s := NewMetcalfeBoggsStep(c, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)
+			return Machine(s, func() any { return []any{s.Sched, s.Done} })
 		})
-		blkRes, err := sim.Run(g, func(c *sim.Ctx) error {
-			sched, done, _ := MetcalfeBoggs(c, sim.Input{}, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)
-			c.SetResult([]any{sched, done})
-			return nil
-		}, sim.WithSeed(seed), sim.WithEngine(sim.EngineGoroutine))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(blkRes.Results, stRes.Results) || !reflect.DeepEqual(blkRes.Metrics, stRes.Metrics) {
-			t.Errorf("seed %d: blocking form diverges from the machine", seed)
-		}
 	}
 }
-
-type mbTestMachine struct {
-	s   *MetcalfeBoggsStep
-	out any
-}
-
-func (m *mbTestMachine) Step(in sim.Input) bool {
-	if in.Round == 0 {
-		if m.s.Begin() {
-			m.out = []any{m.s.Sched, m.s.Done}
-			return true
-		}
-		return false
-	}
-	if !m.s.Poll(in) {
-		return false
-	}
-	m.out = []any{m.s.Sched, m.s.Done}
-	return true
-}
-
-func (m *mbTestMachine) Result() any { return m.out }

@@ -2,10 +2,33 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// runBarrierBoth runs a barrier machine program on both engines — the step
+// engine parks passive nodes until the pulse, the goroutine engine steps
+// every node every round — and requires identical results and metrics.
+func runBarrierBoth(t *testing.T, g graph.Topology, prog StepProgram) *Result {
+	t.Helper()
+	var out [2]*Result
+	for i, e := range []Engine{EngineGoroutine, EngineStep} {
+		res, err := RunStep(g, prog, WithEngine(e))
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		out[i] = res
+	}
+	if !reflect.DeepEqual(out[0].Results, out[1].Results) {
+		t.Errorf("results differ:\n goroutine %v\n step      %v", out[0].Results, out[1].Results)
+	}
+	if out[0].Metrics != out[1].Metrics {
+		t.Errorf("metrics differ:\n goroutine %+v\n step      %+v", out[0].Metrics, out[1].Metrics)
+	}
+	return out[1]
+}
 
 // TestBarrierConvergecast runs a convergecast on a path rooted at node 0
 // under the busy-tone barrier: every node learns the step ended in the same
@@ -16,57 +39,52 @@ func TestBarrierConvergecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, func(ctx *Ctx) error {
+	res := runBarrierBoth(t, g, func(c Node) Machine {
 		// Path convergecast: node n-1 starts; each node forwards a counter
 		// toward node 0.
+		b := NewStepBarrier(c)
 		sent := false
-		var in Input
-		in = BarrierStep(ctx, in, func(in Input) bool {
-			if ctx.ID() == n-1 && !sent {
+		counter := -1
+		var out any
+		handle := func(in Input) bool {
+			if c.ID() == n-1 && !sent {
 				sent = true
-				ctx.SendTo(n-2, 1)
+				c.SendTo(n-2, 1)
 				return true
 			}
 			for _, m := range in.Msgs {
-				if ctx.ID() == 0 {
-					ctx.SetResult(m.Payload.(int) + 1)
+				if c.ID() == 0 {
+					counter = m.Payload.(int) + 1
 					return false
 				}
-				ctx.SendTo(ctx.ID()-1, m.Payload.(int)+1)
+				c.SendTo(c.ID()-1, m.Payload.(int)+1)
 			}
 			return false
-		})
-		if len(in.Msgs) != 0 {
-			return fmt.Errorf("node %d: message in flight across barrier", ctx.ID())
 		}
-		// All nodes must exit in the same round; encode it in the result.
-		if ctx.ID() != 0 {
-			ctx.SetResult(in.Round)
-		} else {
-			ctx.SetResult([2]int{res0(ctx), in.Round})
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if !b.Step(in, handle) {
+					return false
+				}
+				if len(in.Msgs) != 0 {
+					c.Failf("message in flight across barrier")
+				}
+				// All nodes must exit in the same round; record it.
+				out = [2]int{counter, in.Round}
+				return true
+			},
+			result: func() any { return out },
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	root := res.Results[0].([2]int)
 	if root[0] != n {
 		t.Errorf("counter at root = %d, want %d", root[0], n)
 	}
 	for v := 1; v < n; v++ {
-		if res.Results[v].(int) != root[1] {
-			t.Errorf("node %d exited at round %v, root at %d", v, res.Results[v], root[1])
+		if got := res.Results[v].([2]int)[1]; got != root[1] {
+			t.Errorf("node %d exited at round %d, root at %d", v, got, root[1])
 		}
 	}
-}
-
-// res0 extracts the counter the root recorded mid-barrier.
-func res0(ctx *Ctx) int {
-	if v, ok := ctx.result.(int); ok {
-		return v
-	}
-	return -1
 }
 
 // TestBarrierAllPassive: a step where nobody works ends after one idle slot.
@@ -75,48 +93,56 @@ func TestBarrierAllPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, func(ctx *Ctx) error {
-		in := BarrierWait(ctx, Input{})
-		if in.Round != 1 {
-			return fmt.Errorf("pulse at round %d, want 1", in.Round)
-		}
-		return nil
+	res := runBarrierBoth(t, g, func(c Node) Machine {
+		b := NewStepBarrier(c)
+		return &stepFuncs{step: func(in Input) bool {
+			if !b.Step(in, func(Input) bool { return false }) {
+				return false
+			}
+			if in.Round != 1 {
+				c.Failf("pulse at round %d, want 1", in.Round)
+			}
+			return true
+		}}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Metrics.Rounds != 2 {
 		t.Errorf("Rounds = %d, want 2", res.Metrics.Rounds)
 	}
 }
 
-// TestBarrierSequence: three consecutive barrier steps stay aligned across
-// all nodes even when different nodes do different amounts of work.
+// TestBarrierSequence: three consecutive barrier steps on one barrier stay
+// aligned across all nodes even when different nodes do different amounts
+// of work.
 func TestBarrierSequence(t *testing.T) {
 	g, err := graph.Ring(6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, func(ctx *Ctx) error {
+	res := runBarrierBoth(t, g, func(c Node) Machine {
+		b := NewStepBarrier(c)
 		var rounds []int
-		in := Input{}
-		for step := 0; step < 3; step++ {
-			work := int(ctx.ID()) % 3 // node-dependent busy duration
-			in = BarrierStep(ctx, in, func(in Input) bool {
-				if work > 0 {
-					work--
-					return true
+		work := int(c.ID()) % 3 // node-dependent busy duration
+		handle := func(Input) bool {
+			if work > 0 {
+				work--
+				return true
+			}
+			return false
+		}
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for b.Step(in, handle) {
+					rounds = append(rounds, in.Round)
+					if len(rounds) == 3 {
+						return true
+					}
+					work = int(c.ID()) % 3
 				}
 				return false
-			})
-			rounds = append(rounds, in.Round)
+			},
+			result: func() any { return fmt.Sprint(rounds) },
 		}
-		ctx.SetResult(fmt.Sprint(rounds))
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v := 1; v < 6; v++ {
 		if res.Results[v] != res.Results[0] {
 			t.Errorf("node %d barrier schedule %v != node 0's %v", v, res.Results[v], res.Results[0])
@@ -131,27 +157,29 @@ func TestBarrierForcesBusyOnSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(g, func(ctx *Ctx) error {
+	runBarrierBoth(t, g, func(c Node) Machine {
+		b := NewStepBarrier(c)
 		gotPayload := false
 		first := true
-		in := BarrierStep(ctx, Input{}, func(in Input) bool {
-			for _, m := range in.Msgs {
-				_ = m
+		handle := func(in Input) bool {
+			if len(in.Msgs) > 0 {
 				gotPayload = true
 			}
-			if ctx.ID() == 0 && first {
+			if c.ID() == 0 && first {
 				first = false
-				ctx.Send(0, "probe")
-				return false // lies about being active; engine must compensate
+				c.Send(0, "probe")
+				return false // lies about being active; the barrier must compensate
 			}
 			return false
-		})
-		if ctx.ID() == 1 && !gotPayload {
-			return fmt.Errorf("pulse fired before delivery: in=%+v", in)
 		}
-		return nil
+		return &stepFuncs{step: func(in Input) bool {
+			if !b.Step(in, handle) {
+				return false
+			}
+			if c.ID() == 1 && !gotPayload {
+				c.Failf("pulse fired before delivery: in=%+v", in)
+			}
+			return true
+		}}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

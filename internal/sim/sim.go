@@ -415,6 +415,10 @@ func (c *Ctx) Broadcast(p Payload) {
 // Busy transmits a busy tone on the channel this round (§7.1 barrier).
 func (c *Ctx) Busy() { c.Broadcast(BusyTone{}) }
 
+// SentThisRound reports whether this node queued any point-to-point message
+// in the current round.
+func (c *Ctx) SentThisRound() bool { return len(c.out) > 0 }
+
 // Sleep is a no-op: the goroutine engine steps every node every round.
 func (c *Ctx) Sleep() {}
 

@@ -390,36 +390,16 @@ func TestAdapterMaxRounds(t *testing.T) {
 	}
 }
 
-func TestStepBarrierMatchesBarrierStep(t *testing.T) {
-	// One barrier-synchronized flood from node 0, written both ways; the
-	// transcripts must match exactly.
+// TestStepBarrierOnBothEngines runs one barrier-synchronized flood from
+// node 0 as a StepBarrier machine on both engines: the step engine parks
+// the passive nodes until a message or the pulse, the goroutine engine
+// steps every node every round, and the transcripts must match exactly.
+func TestStepBarrierOnBothEngines(t *testing.T) {
 	g, err := graph.RandomConnected(30, 45, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gor, err := Run(g, func(ctx *Ctx) error {
-		seen := ctx.ID() == 0
-		BarrierStep(ctx, Input{}, func(in Input) bool {
-			if !seen && len(in.Msgs) > 0 {
-				seen = true
-				for l := 0; l < ctx.Degree(); l++ {
-					ctx.Send(l, "wave")
-				}
-			}
-			if seen && in.Round == 0 && ctx.ID() == 0 {
-				for l := 0; l < ctx.Degree(); l++ {
-					ctx.Send(l, "wave")
-				}
-			}
-			return false
-		})
-		ctx.SetResult(seen)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nat, err := RunStep(g, func(c Node) Machine {
+	res := runBarrierBoth(t, g, func(c Node) Machine {
 		b := NewStepBarrier(c)
 		seen := c.ID() == 0
 		return &stepFuncs{
@@ -442,18 +422,9 @@ func TestStepBarrierMatchesBarrierStep(t *testing.T) {
 			result: func() any { return seen },
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gor.Results, nat.Results) {
-		t.Error("results differ between BarrierStep and StepBarrier")
-	}
-	if gor.Metrics != nat.Metrics {
-		t.Errorf("metrics differ: %+v vs %+v", gor.Metrics, nat.Metrics)
-	}
-	for _, r := range nat.Results {
+	for _, r := range res.Results {
 		if r != true {
-			t.Fatalf("flood did not reach every node: %v", nat.Results)
+			t.Fatalf("flood did not reach every node: %v", res.Results)
 		}
 	}
 }

@@ -1,14 +1,32 @@
 package sim
 
-// StepBarrier is the native-machine form of BarrierStep: the §7.1
-// channel-as-synchronizer barrier expressed round by round instead of as a
-// blocking loop. A machine that runs a barrier-synchronized step feeds each
-// round's Input through Step; the barrier transmits the busy tone while the
-// node is active or has a message in flight and reports true on the round
-// that carries the global pulse (the previous slot was idle), which by the
-// synchronous-delivery argument of barrier.go means the step has terminated
-// at every node. As with BarrierStep, the pulse round's input carries no
-// messages and must be handed to whatever the machine does next.
+// Channel-as-synchronizer barrier (§7.1). The paper notes that its
+// synchronizer "can serve as a mechanism to detect the global termination of
+// each phase and each step in a phase"; this file implements that mechanism
+// for the synchronous engines.
+//
+// Protocol: while a node is active in the current step — it sent a message
+// this round or declares pending work — it transmits a busy tone on the
+// channel. Because delivery is synchronous (exactly one round), a sender's
+// busy tone covers its in-flight message: if the slot of round t is idle,
+// then no message was sent at round t and no node was active at round t, so
+// when all nodes observe the idle slot at round t+1 the step has globally
+// terminated. The idle slot is the paper's "clock pulse".
+
+// IsPulse reports whether in carries a barrier pulse (the previous slot was
+// idle).
+func (in Input) IsPulse() bool { return in.Slot.State == SlotIdle }
+
+// StepBarrier runs the barrier round by round. A machine that runs a
+// barrier-synchronized step feeds each round's Input through Step; the
+// barrier transmits the busy tone while the node is active or has a message
+// in flight and reports true on the round that carries the global pulse,
+// which by the argument above means the step has terminated at every node.
+// All nodes see the pulse in the same round. Its input carries no messages
+// (except ones a fault plan delayed) and must be handed to whatever the
+// machine does next: one barrier serves a whole sequence of steps, each
+// started by calling Step with a new handler on the previous step's pulse
+// round.
 //
 // A node that is passive in a round — handle reported inactive and staged
 // neither sends nor a channel write — is parked with SleepUntilPulse: within

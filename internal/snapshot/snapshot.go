@@ -14,27 +14,12 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 // Cut describes one completed snapshot.
 type Cut struct {
 	Initiator graph.NodeID
 	Round     int // the common round at which every node recorded its state
-}
-
-// Take runs the snapshot sub-protocol. Every node must enter in the same
-// round; trigger marks this node as wanting a snapshot. When at least one
-// node triggers, all nodes invoke record exactly once, in the same round,
-// and return the identical Cut; otherwise ok is false. The record callback
-// receives the cut round.
-func Take(c *sim.Ctx, in sim.Input, trigger bool, record func(round int)) (cut Cut, ok bool, out sim.Input) {
-	s := NewTakeStep(c, trigger, record)
-	s.Begin()
-	for done := false; !done; done = s.Poll(in) {
-		in = c.Tick()
-	}
-	return s.Cut, s.OK, in
 }
 
 // Consistent verifies that a set of per-node cuts agree (same initiator and

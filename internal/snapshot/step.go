@@ -1,8 +1,7 @@
 package snapshot
 
-// step.go is the snapshot protocol as a per-round component (Take drives it
-// on a blocking Ctx): the §2 election component resolves contending
-// initiators, and the round in which its final slot is heard — the same
+// step.go is the snapshot protocol as a per-round component: the §2
+// election component resolves contending initiators, and the round in which its final slot is heard — the same
 // round at every node — is the cut. No point-to-point message can be in
 // flight across the cut boundary for protocols that are quiescent while
 // snapshotting; for running applications the cut is simply a common round
@@ -16,12 +15,13 @@ import (
 	"repro/internal/sim"
 )
 
-// TakeStep is the snapshot sub-protocol of Take, for embedding in a
-// sim.Machine.
-// Begin starts the protocol in the current round; Poll consumes each
-// subsequent round until it reports done, after which Cut and OK hold the
-// result. The record callback fires exactly once, on the cut round, iff a
-// snapshot was taken.
+// TakeStep is the snapshot sub-protocol, a resolve.Component for embedding
+// in a sim.Machine. Every node must begin it in the same round; trigger
+// marks this node as wanting a snapshot. Begin starts the protocol in the
+// current round; Poll consumes each subsequent round until it reports done,
+// after which Cut and OK hold the result — the identical Cut at every node,
+// OK false if no node triggered. The record callback fires exactly once, on
+// the cut round, iff a snapshot was taken.
 type TakeStep struct {
 	Cut Cut
 	OK  bool
@@ -37,7 +37,7 @@ func NewTakeStep(c sim.Node, trigger bool, record func(round int)) *TakeStep {
 }
 
 // Begin stages the election's liveness slot.
-func (s *TakeStep) Begin() { s.e.Begin() }
+func (s *TakeStep) Begin() (done bool) { return s.e.Begin() }
 
 // Poll consumes one slot outcome; done means the protocol is over.
 func (s *TakeStep) Poll(in sim.Input) (done bool) {
@@ -53,35 +53,17 @@ func (s *TakeStep) Poll(in sim.Input) (done bool) {
 	return true
 }
 
-// snapMachine runs one whole-network snapshot with node 0 triggering.
-type snapMachine struct {
-	c   sim.Node
-	t   *TakeStep
-	cut any
-}
-
-func (m *snapMachine) Step(in sim.Input) bool {
-	if in.Round == 0 {
-		m.t.Begin()
-		return false
-	}
-	if !m.t.Poll(in) {
-		return false
-	}
-	if !m.t.OK {
-		m.c.Failf("snapshot not taken")
-	}
-	m.cut = m.t.Cut
-	return true
-}
-
-func (m *snapMachine) Result() any { return m.cut }
-
 // Run takes one snapshot of the whole network on sim.DefaultEngine, with
 // node 0 as the (sole) trigger, and returns the cut every node recorded.
 func Run(g graph.Topology, seed int64) (Cut, sim.Metrics, error) {
 	res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
-		return &snapMachine{c: c, t: NewTakeStep(c, c.ID() == 0, func(int) {})}
+		t := NewTakeStep(c, c.ID() == 0, func(int) {})
+		return resolve.Machine(t, func() any {
+			if !t.OK {
+				c.Failf("snapshot not taken")
+			}
+			return t.Cut
+		})
 	}, sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine))
 	if err != nil {
 		return Cut{}, sim.Metrics{}, err

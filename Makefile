@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test test-short test-race bench bench-check bench-quick chaos fuzz golden obs-smoke scale-smoke resume-smoke chaos2-smoke ci
+.PHONY: build vet lint test test-short test-race bench bench-check bench-quick chaos fuzz fuzz-smoke golden obs-smoke scale-smoke resume-smoke chaos2-smoke ci
 
 ## build: compile every package (the tier-1 gate's first half)
 build:
@@ -64,6 +64,14 @@ bench-quick:
 ## workers, faults) tuples; any divergence between engines is a bug
 fuzz:
 	$(GO) test -fuzz FuzzEngineEquivalence -fuzztime 60s -run '^$$' .
+
+## fuzz-smoke: a bounded pass of both fuzzers (CI's fuzz-smoke job) — the
+## fault-plan DSL parser (an error, never a panic) and the engine
+## differential fuzzer, whose protocol axis includes the paper's pipelines
+FUZZ_SMOKE_TIME ?= 30s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime $(FUZZ_SMOKE_TIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime $(FUZZ_SMOKE_TIME) .
 
 ## golden: regenerate the committed transcript fixtures (intentional
 ## determinism changes only)

@@ -102,7 +102,7 @@ func run(args []string, w io.Writer) error {
 		algo      = fs.String("algo", "partition-det", strings.Join(algoNames, "|"))
 		variant   = fs.String("variant", "det", "multimedia function variant: det|balanced|rand")
 		stage     = fs.String("stage", "cap", "global stage: cap|mb")
-		engine    = fs.String("engine", "goroutine", "execution engine: goroutine|step; goroutine steps machine protocols every node every round, step runs them natively and goroutine programs through its adapter (census and estimate-step always run on step)")
+		engine    = fs.String("engine", "goroutine", "execution engine: goroutine|step; every algorithm is one machine per node, which goroutine steps every node every round (the oracle) and step runs natively, skipping sleeping nodes (census and estimate-step always run on step)")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		jsonOut   = fs.Bool("json", false, "emit the run as one machine-readable JSON object on stdout")
 		faults    = fs.String("faults", "", "fault plan DSL, e.g. 'crash:7@10;jam:4-12/p0.5;drop:3@5-' (see README, Fault model)")
@@ -392,15 +392,20 @@ func runResume(algo string, g graph.Topology, path string, opts []sim.Option) (*
 	if err != nil {
 		return nil, err
 	}
+	// A crash plan can stop node 0 before it records anything.
+	v, ok := res.Results[0].(int64)
+	if !ok {
+		return nil, fmt.Errorf("resumed %s: node 0 recorded %T, want int64", algo, res.Results[0])
+	}
 	rep := &report{}
 	rep.set("resumed_from", cp.Round)
 	switch algo {
 	case "census":
-		n := res.Results[0].(int64)
+		n := v
 		rep.addf("native step census (resumed from round %d): n=%d", cp.Round, n)
 		rep.set("n", n)
 	case "estimate-step":
-		est := res.Results[0].(int64)
+		est := v
 		rep.addf("native step size estimate (resumed from round %d): 2^k=%d (true n=%d)", cp.Round, est, g.N())
 		rep.set("estimate", est)
 	}

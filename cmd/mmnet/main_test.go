@@ -64,6 +64,7 @@ func TestRunErrors(t *testing.T) {
 		{"-engine", "nope"},
 		{"-faults", "nope:1@2"},
 		{"-graph", "ring", "-n", "12", "-faults", "crash:99@1"}, // node outside graph
+		{"-graph", "ring:64", "-algo", "estimate", "-faults", "crash:0@2"}, // node 0 records no estimate
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
@@ -163,6 +164,15 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "resumed from round 7): n=48") {
 		t.Errorf("resume output: %q", buf.String())
+	}
+
+	// A resumed run whose plan crash-stops node 0 reports an error.
+	crashed := []string{"-graph", "ring:64", "-algo", "estimate-step", "-faults", "crash:0@3"}
+	if err := run(append(crashed, "-checkpoint", cp, "-checkpoint-at", "1"), &buf); err == nil {
+		t.Error("estimate with node 0 crashed succeeded")
+	}
+	if err := run(append(crashed[:4], "-resume", filepath.Join(dir, "cp-1.mmcp")), &buf); err == nil {
+		t.Error("resumed estimate with node 0 crashed succeeded")
 	}
 
 	// Gzip transcripts announce themselves in the suffix.

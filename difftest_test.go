@@ -155,7 +155,7 @@ func reduceDivergence(d diffTuple, g graph.Topology, plan *fault.Plan) string {
 	var buf bytes.Buffer
 	prog, err := replay.Program(d.proto.Name)
 	if err != nil {
-		fmt.Fprintf(&buf, "auto-reduce: %s has no native step form to bisect; try:\n"+
+		fmt.Fprintf(&buf, "auto-reduce: %s has no checkpointable step form to bisect; try:\n"+
 			"  go run ./cmd/mmreplay -bisect -algo census -graph %s -n %d -seed %d -faults %q -workers-a 1 -workers-b %d\n",
 			d.proto.Name, d.graph, d.n, d.seed, d.plan, d.workers)
 		return buf.String()

@@ -12,6 +12,10 @@
 // (O(√n) expected time). The two baselines realize the paper's lower-bound
 // models: a pure point-to-point network needs Ω(d) time, a pure broadcast
 // network Ω(n).
+//
+// Every computation is a sim.Machine per node on sim.DefaultEngine. The
+// multimedia compute stage runs the local convergecast under the §7.1
+// barrier and, on its pulse round, the global stage's resolve component.
 package globalfunc
 
 import (

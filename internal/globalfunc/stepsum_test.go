@@ -2,9 +2,12 @@ package globalfunc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/resolve"
 	"repro/internal/sim"
 )
 
@@ -49,5 +52,33 @@ func TestPointToPointEngineEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestComputeMachinesRefuseCheckpoints: the compute stage and the
+// broadcast-only machines carry no checkpointable state, so a checkpointing
+// run fails with an error instead of panicking.
+func TestComputeMachinesRefuseCheckpoints(t *testing.T) {
+	g, err := graph.Ring(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, _, err := partition.Deterministic(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := func(v graph.NodeID) int64 { return int64(v) }
+	for name, prog := range map[string]sim.StepProgram{
+		"stage": stageProgram(f, Sum, in, StageCapetanakis, 4),
+		"broadcast-only": func(c sim.Node) sim.Machine {
+			p, _ := scheduler(c, StageMetcalfeBoggs, c.N(), true, in(c.ID()))
+			return resolve.Machine(p, func() any { return nil })
+		},
+	} {
+		spec := &sim.CheckpointSpec{At: []int{2}, Sink: func(*sim.Checkpoint) error { return nil }}
+		_, err := sim.RunStep(g, prog, sim.WithEngine(sim.EngineStep), sim.WithCheckpoints(spec))
+		if err == nil || strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: err = %v, want a capture error", name, err)
+		}
 	}
 }

@@ -7,6 +7,12 @@
 // Both produce a rooted spanning forest of O(√n) trees, each of radius
 // O(√n) — the balance point between the point-to-point local stage and the
 // multiaccess global stage of every algorithm in the paper.
+//
+// Every algorithm here is one sim.Machine per node, run by sim.RunStep on
+// sim.DefaultEngine: a §3 phase is a script of barrier steps over a single
+// sim.StepBarrier, a §4 iteration is a fixed number of rounds the machine
+// counts, and the channel stages — the Las Vegas verification, the §7.3
+// probes — are resolve components embedded in the machine.
 package partition
 
 import (

@@ -440,6 +440,9 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 	if cp.Graph != 0 && cp.Graph != e.graphDigest() {
 		return fmt.Errorf("sim: checkpoint graph digest %016x does not match this topology's %016x — resume needs the exact graph (same generator, flags, and seed) the checkpoint was captured from", cp.Graph, e.graphDigest())
 	}
+	if cp.Slot.State == SlotSuccess && (int(cp.Slot.From) < 0 || int(cp.Slot.From) >= n) {
+		return fmt.Errorf("sim: checkpoint slot writer %d out of range", cp.Slot.From)
+	}
 	e.met = cp.Met
 	e.alive = cp.Alive
 	e.slot = Slot{State: cp.Slot.State, From: cp.Slot.From, Payload: cp.Slot.Payload}
@@ -508,6 +511,11 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 		if int(ib.Node) < 0 || int(ib.Node) >= n {
 			return fmt.Errorf("sim: checkpoint inbox for node %d out of range", ib.Node)
 		}
+		for _, m := range ib.Msgs {
+			if err := e.checkLink(m.From, ib.Node, m.EdgeID); err != nil {
+				return fmt.Errorf("sim: checkpoint inbox of node %d: %w", ib.Node, err)
+			}
+		}
 		// Append the inbox into the owning shard's arena and record the
 		// window. Offsets survive arena reallocation (they are indices, not
 		// pointers), so plain appends are safe here.
@@ -521,6 +529,12 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 		if int(p.To) < 0 || int(p.To) >= n {
 			return fmt.Errorf("sim: checkpoint pending message to node %d out of range", p.To)
 		}
+		if p.Due <= cp.Round {
+			return fmt.Errorf("sim: checkpoint pending message due at round %d, not after the capture round %d", p.Due, cp.Round)
+		}
+		if err := e.checkLink(p.From, p.To, p.EdgeID); err != nil {
+			return fmt.Errorf("sim: checkpoint pending message to node %d: %w", p.To, err)
+		}
 		sd := &e.shards[int(p.To)/e.shardSize]
 		if sd.pending == nil {
 			sd.pending = make(map[int][]delivered)
@@ -529,6 +543,22 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 			to: p.To, from: p.From, edgeID: int32(p.EdgeID), payload: p.Payload,
 		})
 		sd.pendingN++
+	}
+	return nil
+}
+
+// checkLink validates a checkpointed message's sender and edge: the sender
+// is a node, and the edge exists and joins it to the recipient, so the
+// message is one the network could have carried.
+func (e *stepEngine) checkLink(from, to graph.NodeID, edgeID int) error {
+	if int(from) < 0 || int(from) >= e.topo.N() {
+		return fmt.Errorf("sender %d out of range", from)
+	}
+	if edgeID < 0 || edgeID >= e.topo.M() {
+		return fmt.Errorf("edge %d out of range", edgeID)
+	}
+	if ed := e.topo.Edge(edgeID); !(ed.U == from && ed.V == to || ed.U == to && ed.V == from) {
+		return fmt.Errorf("edge %d does not join sender %d to node %d", edgeID, from, to)
 	}
 	return nil
 }

@@ -409,4 +409,77 @@ func TestResumeValidatesGraph(t *testing.T) {
 	if _, err := Resume(ga, ckptProgram(10), cps[0]); err != nil {
 		t.Errorf("resume on the capture graph rejected: %v", err)
 	}
+
+	// A crafted MMCP file whose indices name nodes or edges the graph
+	// lacks — or a delivery round already past — must be refused, not
+	// resumed into an undeliverable message or a bogus inbox.
+	var valid bytes.Buffer
+	if _, err := cps[0].WriteTo(&valid); err != nil {
+		t.Fatal(err)
+	}
+	// An edge of ga that does not touch node 0, for the not-incident case.
+	foreign := -1
+	for id := 0; id < ga.M(); id++ {
+		if e := ga.Edge(id); e.U != 0 && e.V != 0 {
+			foreign = id
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(cp *Checkpoint)
+	}{
+		{"inbox recipient", func(cp *Checkpoint) { cp.Inboxes[0].Node = 8 }},
+		{"inbox sender", func(cp *Checkpoint) { cp.Inboxes[0].Msgs[0].From = -1 }},
+		{"inbox edge out of range", func(cp *Checkpoint) { cp.Inboxes[0].Msgs[0].EdgeID = ga.M() }},
+		{"inbox edge not incident", func(cp *Checkpoint) {
+			cp.Inboxes[0].Node = 0
+			cp.Inboxes[0].Msgs[0].EdgeID = foreign
+		}},
+		{"pending recipient", func(cp *Checkpoint) { cp.Pending = append(cp.Pending, pendingFrom(cp, 1)); cp.Pending[0].To = 8 }},
+		{"pending sender", func(cp *Checkpoint) { cp.Pending = append(cp.Pending, pendingFrom(cp, 1)); cp.Pending[0].From = 8 }},
+		{"pending edge out of range", func(cp *Checkpoint) {
+			cp.Pending = append(cp.Pending, pendingFrom(cp, 1))
+			cp.Pending[0].EdgeID = -1
+		}},
+		{"pending edge not incident", func(cp *Checkpoint) {
+			cp.Pending = append(cp.Pending, pendingFrom(cp, 1))
+			cp.Pending[0].To, cp.Pending[0].EdgeID = 0, foreign
+		}},
+		{"pending due at capture", func(cp *Checkpoint) { cp.Pending = append(cp.Pending, pendingFrom(cp, 0)) }},
+		{"slot writer", func(cp *Checkpoint) { cp.Slot = SlotCheckpoint{State: SlotSuccess, From: 8, Payload: ckptToken{}} }},
+	} {
+		cp, err := ReadCheckpoint(bytes.NewReader(valid.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(cp)
+		var crafted bytes.Buffer
+		if _, err := cp.WriteTo(&crafted); err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = ReadCheckpoint(&crafted); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resume(ga, ckptProgram(10), cp); err == nil {
+			t.Errorf("%s: corrupted checkpoint resumed", tc.name)
+		}
+	}
+	// The valid pending record the corruptions start from resumes fine.
+	cp, err := ReadCheckpoint(bytes.NewReader(valid.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Pending = append(cp.Pending, pendingFrom(cp, 1))
+	if _, err := Resume(ga, ckptProgram(10), cp); err != nil {
+		t.Errorf("checkpoint with a valid pending message rejected: %v", err)
+	}
+}
+
+// pendingFrom builds a well-formed pending record from the checkpoint's
+// first inbox message, due `after` rounds past the capture.
+func pendingFrom(cp *Checkpoint, after int) PendingCheckpoint {
+	ib := cp.Inboxes[0]
+	m := ib.Msgs[0]
+	return PendingCheckpoint{Due: cp.Round + after, To: ib.Node, From: m.From, EdgeID: m.EdgeID, Payload: m.Payload}
 }

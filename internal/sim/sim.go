@@ -31,10 +31,14 @@
 //     the work done, not nodes × rounds. This is the engine for
 //     million-node simulations.
 //
-// Both entry points take either engine. Run(..., WithEngine(EngineStep))
-// executes a goroutine Program on the step engine through a built-in
-// adapter; RunStep(..., WithEngine(EngineGoroutine)) drives a step program's
-// machines from node goroutines, one Step per Tick, every node every round.
+// Both entry points take either engine. RunStep(..., WithEngine(EngineGoroutine))
+// drives a step program's machines from node goroutines, one Step per Tick,
+// every node every round — the oracle the step engine's sleep and
+// fast-forward paths are checked against. Every protocol of this module is
+// such a machine; multi-stage ones sequence their stages inside one machine,
+// ending each barrier-synchronized step at the §7.1 pulse of a single
+// StepBarrier (stepbarrier.go). Run(..., WithEngine(EngineStep)) executes a
+// user's goroutine Program on the step engine through a built-in adapter.
 // Either way the results and metrics are identical.
 //
 // # Determinism contract

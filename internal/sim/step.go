@@ -301,15 +301,15 @@ func (c *StepCtx) Rand() *rand.Rand {
 // fill, not one allocating topology query per message.
 func (c *StepCtx) LinkOf(edgeID int) int {
 	if la := c.eng.linkAt; la != nil {
-		e := c.eng.mat.Edge(edgeID)
-		switch c.id {
-		case e.U:
-			return int(la[edgeID][0])
-		case e.V:
-			return int(la[edgeID][1])
-		default:
-			panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
+		if edgeID >= 0 && edgeID < len(la) {
+			switch e := c.eng.mat.Edge(edgeID); c.id {
+			case e.U:
+				return int(la[edgeID][0])
+			case e.V:
+				return int(la[edgeID][1])
+			}
 		}
+		panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
 	}
 	adj := c.eng.shardAdj(c.shard(), c.id)
 	if len(adj) >= linkIndexThreshold && edgeID >= 0 && edgeID < c.eng.topo.M() {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -274,6 +275,34 @@ func TestFailfSameOnBothEngines(t *testing.T) {
 		}
 		if _, err := Run(ring(t, 5), program, WithEngine(e)); err == nil || err.Error() != want {
 			t.Errorf("%v program: err = %v, want %q", e, err, want)
+		}
+	}
+}
+
+// TestBadEdgeIDReadsTheSame: resolving an edge id a node does not own is a
+// model violation with one wording on both engines and both topology forms,
+// the stored form's edge index included.
+func TestBadEdgeIDReadsTheSame(t *testing.T) {
+	implicit, err := graph.ParseSpec("ring:5", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edgeID := range []int{-1, 2, 99} {
+		want := fmt.Sprintf("sim: node 0 panicked: sim: node 0 has no link with edge id %d", edgeID)
+		machine := func(c Node) Machine {
+			return &stepFuncs{step: func(Input) bool {
+				if c.ID() == 0 {
+					c.LinkOf(edgeID)
+				}
+				return true
+			}}
+		}
+		for _, g := range []graph.Topology{ring(t, 5), implicit} {
+			for _, e := range []Engine{EngineGoroutine, EngineStep} {
+				if _, err := RunStep(g, machine, WithEngine(e)); err == nil || err.Error() != want {
+					t.Errorf("%v on %T, edge %d: err = %v, want %q", e, g, edgeID, err, want)
+				}
+			}
 		}
 	}
 }

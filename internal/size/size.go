@@ -54,7 +54,10 @@ func Estimate(g graph.Topology, seed int64, opts ...sim.Option) (*EstimateResult
 	if err != nil {
 		return nil, fmt.Errorf("size: estimate: %w", err)
 	}
-	est := res.Results[0].(int64)
+	est, ok := res.Results[0].(int64)
+	if !ok {
+		return nil, fmt.Errorf("size: estimate: node 0 recorded %T, want int64", res.Results[0])
+	}
 	for v, r := range res.Results {
 		if r != est {
 			return nil, fmt.Errorf("size: node %d estimated %v, node 0 %v", v, r, est)

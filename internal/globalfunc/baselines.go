@@ -50,9 +50,6 @@ func PointToPoint(g graph.Topology, seed int64, op Op, in Inputs, opts ...sim.Op
 // id space (Θ(n) slots); randomized uses Metcalfe–Boggs (Θ(n) expected).
 // The point-to-point network is never used.
 func BroadcastOnly(g graph.Topology, seed int64, op Op, in Inputs, stage Stage) (*Result, error) {
-	if stage != StageCapetanakis && stage != StageMetcalfeBoggs {
-		return nil, fmt.Errorf("globalfunc: unknown stage %d", stage)
-	}
 	res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
 		p, sched := scheduler(c, stage, c.N(), true, in(c.ID()))
 		return resolve.Machine(p, func() any {

@@ -129,9 +129,6 @@ func Multimedia(g graph.Topology, seed int64, op Op, in Inputs, variant Variant,
 		info *partition.RandomizedInfo
 		err  error
 	)
-	if stage != StageCapetanakis && stage != StageMetcalfeBoggs {
-		return nil, fmt.Errorf("globalfunc: unknown stage %d", stage)
-	}
 	switch variant {
 	case VariantDeterministic:
 		f, pm, _, err = partition.Deterministic(g, seed)
@@ -238,12 +235,16 @@ func (m *stageMachine) Result() any { return m.result }
 // contending (if contending) to broadcast payload, and where the protocol
 // leaves its schedule.
 func scheduler(c sim.Node, stage Stage, estimate int, contending bool, payload int64) (resolve.Component, *[]resolve.ScheduledItem) {
-	if stage == StageCapetanakis {
+	switch stage {
+	case StageCapetanakis:
 		s := resolve.NewCapetanakisStep(c, c.N(), contending, int(c.ID()), payload, 0)
 		return s, &s.Sched
+	case StageMetcalfeBoggs:
+		s := resolve.NewMetcalfeBoggsStep(c, estimate, contending, int(c.ID()), payload, 0)
+		return s, &s.Sched
 	}
-	s := resolve.NewMetcalfeBoggsStep(c, estimate, contending, int(c.ID()), payload, 0)
-	return s, &s.Sched
+	c.Failf("unknown stage %d", stage)
+	return nil, nil
 }
 
 // combineAll folds every scheduled payload with op, in schedule order.

@@ -122,14 +122,25 @@ type dnode struct {
 	children   map[int]bool // tree child edge ids
 	rejected   map[int]bool // edges known intra-fragment forever
 
-	// Per-phase state.
+	// Per-phase state; dphase is reset at the start of every phase.
+	dphase
+	size     int
+	cand     dMin  // own accepted outgoing candidate
+	best     dMin  // subtree minimum
+	downEdge int   // child edge toward the subtree minimum; -1 = self
+	color    int64 // color of the fragment's vertex of F, at cores
+
+	// The values the last push steps delivered to this core: its
+	// F-parent's (pushToChildren) and its F-children's (pushToParent).
+	par, kid     int64
+	parOK, kidOK bool
+}
+
+// dphase is the part of a node's state that every phase starts afresh.
+type dphase struct {
 	phaseIdx  int  // the paper's i
 	spanning  bool // one fragment spans the network: the phase ends early
-	size      int
 	active    bool
-	cand      dMin         // own accepted outgoing candidate
-	best      dMin         // subtree minimum
-	downEdge  int          // child edge toward the subtree minimum; -1 = self
 	outEdge   int          // fragment's selected MWOE (valid at the chosen node)
 	hooks     map[int]bool // edges on which child fragments hooked into me
 	hookFrom  map[int]graph.NodeID
@@ -141,13 +152,7 @@ type dnode struct {
 	dropOut   bool // fragment's out-edge dropped (mutual loser or step-6 cut)
 	inF       bool
 	isFRoot   bool
-	color     int64
 	newCore   graph.NodeID
-
-	// Values pushed across F by the last push step (see pushToChildren and
-	// pushToParent), and the one before it where a later step needs both.
-	got, kept     int64
-	gotOK, keptOK bool
 }
 
 func newDNode(c sim.Node) dnode {
@@ -192,12 +197,14 @@ type handler = func(sim.Input) bool
 
 // dstep is one barrier-synchronized step of a script. open runs the
 // straight-line code before the step and returns the step's handler; close
-// runs the code after it. Both run on a pulse round — open on the one that
-// ended the previous step, close on the step's own — so every node runs
-// them in the same round.
+// runs the code after it, and then fcore at the cores of fragments in F
+// (the vertices Steps 3–6 recolor). All run on a pulse round — open on the
+// one that ended the previous step, the others on the step's own — so every
+// node runs them in the same round.
 type dstep struct {
 	open  func(nd *dnode) handler
 	close func(nd *dnode)
+	fcore func(nd *dnode)
 }
 
 // run starts script on the current round; the caller then feeds this
@@ -214,8 +221,12 @@ func (nd *dnode) run(script []dstep) {
 // the same input.
 func (nd *dnode) advance(in sim.Input) bool {
 	for nd.b.Step(in, nd.handle) {
-		if cl := nd.script[nd.pc].close; cl != nil {
-			cl(nd)
+		st := &nd.script[nd.pc]
+		if st.close != nil {
+			st.close(nd)
+		}
+		if st.fcore != nil && nd.isCore() && nd.inF {
+			st.fcore(nd)
 		}
 		nd.pc++
 		if nd.spanning || nd.pc == len(nd.script) {
@@ -263,13 +274,14 @@ func (nd *dnode) countStep() handler {
 	}
 }
 
-// bcastDown floods a payload from the core to its whole fragment. start is
-// evaluated once at the core (return nil to stay silent); on is invoked at
-// every node with each received message and reports whether its payload is
-// the broadcast value to forward. Other message types arriving during the
-// same barrier step (e.g. unhooks crossing fragments) return false and are
-// merely observed. The core sees its own start payload with EdgeID == -1.
-func (nd *dnode) bcastDown(start func() sim.Payload, on func(m sim.Message) bool) handler {
+// bcastDown floods a payload from the core to its whole fragment: start
+// at the core (nil to stay silent), forwarded by every node that receives
+// it. on is invoked at every node with each received message and reports
+// whether its payload is the broadcast value to forward. Other message
+// types arriving during the same barrier step (e.g. unhooks crossing
+// fragments) return false and are merely observed. The core sees its own
+// start payload with EdgeID == -1.
+func (nd *dnode) bcastDown(start sim.Payload, on func(m sim.Message) bool) handler {
 	sent := false
 	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
@@ -280,9 +292,9 @@ func (nd *dnode) bcastDown(start func() sim.Payload, on func(m sim.Message) bool
 		}
 		if nd.isCore() && !sent {
 			sent = true
-			if p := start(); p != nil {
-				on(sim.Message{From: nd.c.ID(), EdgeID: -1, Payload: p})
-				nd.sendChildren(p)
+			if start != nil {
+				on(sim.Message{From: nd.c.ID(), EdgeID: -1, Payload: start})
+				nd.sendChildren(start)
 			}
 		}
 		return false
@@ -290,32 +302,31 @@ func (nd *dnode) bcastDown(start func() sim.Payload, on func(m sim.Message) bool
 }
 
 // convUp aggregates int64 values from the leaves to the core with an
-// associative, commutative combine. own is this node's contribution,
-// evaluated when this node reports, so that same-step arrivals absorbed by
-// the handler can influence it.
-func (nd *dnode) convUp(own func() int64, combine func(a, b int64) int64,
-	wrap func(v int64) sim.Payload, unwrap func(p sim.Payload) (int64, bool), done func(total int64)) handler {
+// associative, commutative combine, each aggregate travelling as a P: own
+// is this node's contribution, and done receives the total at the core.
+func convUp[P any](nd *dnode, own int64, combine func(a, b int64) int64,
+	wrap func(v int64) P, unwrap func(p P) int64, done func(total int64)) handler {
 	reports := 0
 	var acc int64
 	accSet := false
 	replied := false
 	return func(in sim.Input) bool {
 		for _, m := range in.Msgs {
-			if v, ok := unwrap(m.Payload); ok {
+			if p, ok := m.Payload.(P); ok {
 				reports++
 				if !accSet {
-					acc, accSet = v, true
+					acc, accSet = unwrap(p), true
 				} else {
-					acc = combine(acc, v)
+					acc = combine(acc, unwrap(p))
 				}
 			}
 		}
 		if !replied && reports == len(nd.children) {
 			replied = true
 			if !accSet {
-				acc = own()
+				acc = own
 			} else {
-				acc = combine(acc, own())
+				acc = combine(acc, own)
 			}
 			if nd.isCore() {
 				done(acc)
@@ -330,10 +341,10 @@ func (nd *dnode) convUp(own func() int64, combine func(a, b int64) int64,
 // pushToChildren delivers each in-F core's value to the cores of all its
 // F-children: broadcast down the parent's tree, forward across every
 // surviving hook, then route up the child's tree to its core. Each core
-// ends the step with got/gotOK holding the value received from its
-// F-parent (gotOK is false at F-roots and outside F).
+// ends the step with par/parOK holding the value received from its
+// F-parent (parOK is false at F-roots and outside F).
 func (nd *dnode) pushToChildren(kind uint8, value int64) handler {
-	nd.got, nd.gotOK = 0, false
+	nd.par, nd.parOK = 0, false
 	sentDown := false
 	relay := func(v int64) {
 		nd.sendChildren(dPushD{Kind: kind, V: v})
@@ -354,7 +365,7 @@ func (nd *dnode) pushToChildren(kind uint8, value int64) handler {
 				// Accept only on my fragment's live out-edge.
 				if p.Kind == kind && nd.chosen && !nd.dropOut && m.EdgeID == nd.outEdge {
 					if nd.isCore() {
-						nd.got, nd.gotOK = p.V, true
+						nd.par, nd.parOK = p.V, true
 					} else {
 						nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
 					}
@@ -362,7 +373,7 @@ func (nd *dnode) pushToChildren(kind uint8, value int64) handler {
 			case dPushU:
 				if p.Kind == kind {
 					if nd.isCore() {
-						nd.got, nd.gotOK = p.V, true
+						nd.par, nd.parOK = p.V, true
 					} else {
 						nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
 					}
@@ -380,10 +391,10 @@ func (nd *dnode) pushToChildren(kind uint8, value int64) handler {
 // pushToParent delivers each non-root in-F core's value to its F-parent's
 // core: route down to the chosen node, across the MWOE, then aggregate up
 // the parent's tree with the associative combine. Each core ends the step
-// with got/gotOK holding the aggregate over its F-children (gotOK is false
+// with kid/kidOK holding the aggregate over its F-children (kidOK is false
 // if it has none).
 func (nd *dnode) pushToParent(kind uint8, value int64, combine func(a, b int64) int64) handler {
-	nd.got, nd.gotOK = 0, false
+	nd.kid, nd.kidOK = 0, false
 	started := false
 	return func(in sim.Input) bool {
 		var up *int64 // aggregate to forward toward the core this round
@@ -425,10 +436,10 @@ func (nd *dnode) pushToParent(kind uint8, value int64, combine func(a, b int64) 
 		}
 		if up != nil {
 			if nd.isCore() {
-				if !nd.gotOK {
-					nd.got, nd.gotOK = *up, true
+				if !nd.kidOK {
+					nd.kid, nd.kidOK = *up, true
 				} else {
-					nd.got = combine(nd.got, *up)
+					nd.kid = combine(nd.kid, *up)
 				}
 			} else {
 				nd.c.Send(nd.parentLink(), dChildU{Kind: kind, V: *up})

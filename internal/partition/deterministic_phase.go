@@ -134,21 +134,10 @@ func (nd *dnode) chooseAndHookStep() handler {
 // beginPhase resets the per-phase state and starts phase phaseIdx of
 // script on the current round.
 func (nd *dnode) beginPhase(script []dstep, phaseIdx int) {
-	nd.phaseIdx = phaseIdx
-	nd.spanning = false
-	nd.active = false
-	nd.hooks = make(map[int]bool)
-	nd.hookFrom = make(map[int]graph.NodeID)
-	nd.chosen = false
-	nd.mutual = false
-	nd.mutualOth = -1
-	nd.hasKids = false
-	nd.hasOut = false
-	nd.dropOut = false
-	nd.inF = false
-	nd.isFRoot = false
-	nd.outEdge = -1
-	nd.newCore = -1
+	nd.dphase = dphase{
+		phaseIdx: phaseIdx, outEdge: -1, mutualOth: -1, newCore: -1,
+		hooks: make(map[int]bool), hookFrom: make(map[int]graph.NodeID),
+	}
 	nd.run(script)
 }
 
@@ -189,29 +178,24 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 	// ids; cvIters Cole–Vishkin rounds reduce them below six; three
 	// shift-down/recolor rounds eliminate colors 5, 4 and 3.
 	pushColor := func(nd *dnode) handler { return nd.pushToChildren(pkColor, nd.color) }
-	inF := func(nd *dnode) bool { return nd.isCore() && nd.inF }
 	for range cvIters {
-		s = append(s, dstep{open: pushColor, close: func(nd *dnode) {
-			if inF(nd) {
-				father := nd.color ^ 1 // F-roots pretend bit 0 differs
-				if nd.gotOK {
-					father = nd.got
-				}
-				nd.color = cvColor(nd.color, father)
+		s = append(s, dstep{open: pushColor, fcore: func(nd *dnode) {
+			father := nd.color ^ 1 // F-roots pretend bit 0 differs
+			if nd.parOK {
+				father = nd.par
 			}
+			nd.color = cvColor(nd.color, father)
 		}})
 	}
 	for drop := int64(5); drop >= 3; drop-- {
 		s = append(s,
 			// Shift-down: take the F-parent's color; roots take the
 			// smallest color different from their own.
-			dstep{open: pushColor, close: func(nd *dnode) {
-				if inF(nd) {
-					if nd.gotOK {
-						nd.color = nd.got
-					} else {
-						nd.color = smallestColorExcept(nd.color)
-					}
+			dstep{open: pushColor, fcore: func(nd *dnode) {
+				if nd.parOK {
+					nd.color = nd.par
+				} else {
+					nd.color = smallestColorExcept(nd.color)
 				}
 			}},
 			// Children push their (uniform) post-shift color up; parents
@@ -219,21 +203,22 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 			// the smallest free color in {0,1,2}.
 			dstep{open: func(nd *dnode) handler {
 				return nd.pushToParent(pkChildC, nd.color, func(a, b int64) int64 { return a })
-			}, close: (*dnode).keep},
-			dstep{open: pushColor, close: func(nd *dnode) {
-				if inF(nd) && nd.color == drop {
-					var forbidden [8]bool
-					if nd.gotOK && nd.got >= 0 && nd.got < 8 {
-						forbidden[nd.got] = true
-					}
-					if nd.keptOK && nd.kept >= 0 && nd.kept < 8 {
-						forbidden[nd.kept] = true
-					}
-					for x := int64(0); x < 3; x++ {
-						if !forbidden[x] {
-							nd.color = x
-							break
-						}
+			}},
+			dstep{open: pushColor, fcore: func(nd *dnode) {
+				if nd.color != drop {
+					return
+				}
+				var forbidden [8]bool
+				if nd.parOK && nd.par >= 0 && nd.par < 8 {
+					forbidden[nd.par] = true
+				}
+				if nd.kidOK && nd.kid >= 0 && nd.kid < 8 {
+					forbidden[nd.kid] = true
+				}
+				for x := int64(0); x < 3; x++ {
+					if !forbidden[x] {
+						nd.color = x
+						break
 					}
 				}
 			}},
@@ -246,15 +231,12 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 		open: func(nd *dnode) handler {
 			return nd.pushToChildren(pkColor, encodeRootColor(nd.isFRoot, nd.color))
 		},
-		close: func(nd *dnode) {
-			if !inF(nd) {
-				return
-			}
-			if !nd.gotOK {
+		fcore: func(nd *dnode) {
+			if !nd.parOK {
 				nd.color = int64(coloring.Red) // F-root becomes (or stays) red
 				return
 			}
-			parentIsRoot, parentColor := decodeRootColor(nd.got)
+			parentIsRoot, parentColor := decodeRootColor(nd.par)
 			if parentIsRoot && parentColor == int64(coloring.Red) {
 				nd.color = thirdColor(int64(coloring.Red), nd.color)
 			} else {
@@ -265,30 +247,27 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 
 	// Step 5: promote blue then green vertices with no red neighbor.
 	for _, promote := range []int64{int64(coloring.Blue), int64(coloring.Green)} {
-		s = append(s,
-			dstep{open: pushColor, close: (*dnode).keep},
-			dstep{open: func(nd *dnode) handler {
+		s = append(s, dstep{open: pushColor}, dstep{
+			open: func(nd *dnode) handler {
 				return nd.pushToParent(pkRed, b2i64(nd.color == int64(coloring.Red)),
 					func(a, b int64) int64 { return a | b })
-			}, close: func(nd *dnode) {
-				if inF(nd) && nd.color == promote {
-					redNbr := (nd.keptOK && nd.kept == int64(coloring.Red)) || (nd.gotOK && nd.got == 1)
-					if !redNbr {
-						nd.color = int64(coloring.Red)
-					}
+			},
+			fcore: func(nd *dnode) {
+				redNbr := (nd.parOK && nd.par == int64(coloring.Red)) || (nd.kidOK && nd.kid == 1)
+				if nd.color == promote && !redNbr {
+					nd.color = int64(coloring.Red)
 				}
-			}},
-		)
+			},
+		})
 	}
 
 	// Step 6: red non-leaf vertices cut their out-edge and root new
 	// fragments; chase the new core name down surviving F-edges (subtree
 	// depth ≤ 4, so five pushes suffice).
 	for hop := 0; hop < 5; hop++ {
-		open := func(nd *dnode) handler { return nd.pushToChildren(pkChase, int64(nd.newCore)) }
-		if hop == 0 {
-			open = func(nd *dnode) handler {
-				if inF(nd) {
+		s = append(s, dstep{
+			open: func(nd *dnode) handler {
+				if hop == 0 && nd.isCore() && nd.inF {
 					redInternal := nd.color == int64(coloring.Red) && nd.hasKids
 					if nd.isFRoot || redInternal {
 						nd.newCore = nd.frag
@@ -298,38 +277,30 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 					}
 				}
 				return nd.pushToChildren(pkChase, int64(nd.newCore))
-			}
-		}
-		s = append(s, dstep{open: open, close: func(nd *dnode) {
-			if inF(nd) && nd.newCore == -1 && nd.gotOK && nd.got != -1 {
-				nd.newCore = graph.NodeID(nd.got)
-			}
-		}})
+			},
+			fcore: func(nd *dnode) {
+				if nd.newCore == -1 && nd.parOK && nd.par != -1 {
+					nd.newCore = graph.NodeID(nd.par)
+				}
+			},
+		})
 	}
 
 	// Step 7: broadcast the new fragment identity, then merge physically.
 	return append(s, dstep{open: (*dnode).newFragStep}, dstep{open: (*dnode).rerootStep})
 }
 
-// keep saves the last push's result for a later step of the same group.
-func (nd *dnode) keep() { nd.kept, nd.keptOK = nd.got, nd.gotOK }
-
 // activeStep is Step 1's second half: the core broadcasts whether the
 // fragment is active this phase and whether it spans the whole network.
 func (nd *dnode) activeStep() handler {
-	return nd.bcastDown(
-		func() sim.Payload {
-			level := bits.Len(uint(nd.size)) - 1
-			return dActive{Active: level == nd.phaseIdx, Done: nd.size == nd.c.N()}
-		},
+	level := bits.Len(uint(nd.size)) - 1
+	return nd.bcastDown(dActive{Active: level == nd.phaseIdx, Done: nd.size == nd.c.N()},
 		func(m sim.Message) bool {
 			a, ok := m.Payload.(dActive)
-			if !ok {
-				return false
+			if ok {
+				nd.active, nd.spanning = a.Active, a.Done
 			}
-			nd.active = a.Active
-			nd.spanning = a.Done
-			return true
+			return ok
 		})
 }
 
@@ -337,35 +308,25 @@ func (nd *dnode) activeStep() handler {
 // (mutual iff a hook arrived on its own out-edge), encoded as
 // other-core-id + 1.
 func (nd *dnode) mutualStep() handler {
-	return nd.convUp(
-		func() int64 {
-			if nd.chosen {
-				if other, ok := nd.hookFrom[nd.outEdge]; ok {
-					return int64(other) + 1
-				}
-			}
-			return 0
-		},
+	var own int64
+	if other, ok := nd.hookFrom[nd.outEdge]; ok && nd.chosen {
+		own = int64(other) + 1
+	}
+	return convUp(nd, own,
 		func(a, b int64) int64 {
 			if a != 0 {
 				return a
 			}
 			return b
 		},
-		func(v int64) sim.Payload { return dInfo{Mutual: v != 0, Other: graph.NodeID(v - 1)} },
-		func(p sim.Payload) (int64, bool) {
-			if i, ok := p.(dInfo); ok {
-				if i.Mutual {
-					return int64(i.Other) + 1, true
-				}
-				return 0, true
+		func(v int64) dInfo { return dInfo{Mutual: v != 0, Other: graph.NodeID(v - 1)} },
+		func(i dInfo) int64 {
+			if i.Mutual {
+				return int64(i.Other) + 1
 			}
-			return 0, false
+			return 0
 		},
-		func(total int64) {
-			nd.mutual = total != 0
-			nd.mutualOth = graph.NodeID(total - 1)
-		})
+		func(total int64) { nd.mutual, nd.mutualOth = total != 0, graph.NodeID(total-1) })
 }
 
 // dropStep is Step 2d: broadcast the drop decision (the higher core of a
@@ -376,58 +337,45 @@ func (nd *dnode) dropStep() handler {
 	if nd.isCore() {
 		nd.dropOut = nd.hasOut && nd.mutual && nd.frag > nd.mutualOth
 	}
-	return nd.bcastDown(
-		func() sim.Payload { return dDrop{Drop: nd.dropOut} },
-		func(m sim.Message) bool {
-			switch d := m.Payload.(type) {
-			case dDrop:
-				nd.dropOut = d.Drop
-				if d.Drop && nd.chosen {
-					nd.c.Send(nd.c.LinkOf(nd.outEdge), dUnhook{})
-				}
-				return true
-			case dUnhook:
-				delete(nd.hooks, m.EdgeID)
-				delete(nd.hookFrom, m.EdgeID)
-				return false
+	return nd.bcastDown(dDrop{Drop: nd.dropOut}, func(m sim.Message) bool {
+		switch d := m.Payload.(type) {
+		case dDrop:
+			nd.dropOut = d.Drop
+			if d.Drop && nd.chosen {
+				nd.c.Send(nd.c.LinkOf(nd.outEdge), dUnhook{})
 			}
-			return false
-		})
+			return true
+		case dUnhook:
+			delete(nd.hooks, m.EdgeID)
+			delete(nd.hookFrom, m.EdgeID)
+		}
+		return false
+	})
 }
 
 // hasKidsStep is Step 2e: convergecast whether any hooks survive (the
 // fragment has F-children).
 func (nd *dnode) hasKidsStep() handler {
-	return nd.convUp(
-		func() int64 { return b2i64(len(nd.hooks) > 0) },
+	return convUp(nd, b2i64(len(nd.hooks) > 0),
 		func(a, b int64) int64 { return a | b },
-		func(v int64) sim.Payload { return dHasKids{Has: v == 1} },
-		func(p sim.Payload) (int64, bool) {
-			if h, ok := p.(dHasKids); ok {
-				return b2i64(h.Has), true
-			}
-			return 0, false
-		},
+		func(v int64) dHasKids { return dHasKids{Has: v == 1} },
+		func(h dHasKids) int64 { return b2i64(h.Has) },
 		func(total int64) { nd.hasKids = total == 1 })
 }
 
 // newFragStep is Step 7a: broadcast the new fragment identity.
 func (nd *dnode) newFragStep() handler {
-	return nd.bcastDown(
-		func() sim.Payload {
-			if nd.inF {
-				return dNewFrag{Core: nd.newCore}
-			}
-			return nil
-		},
-		func(m sim.Message) bool {
-			nf, ok := m.Payload.(dNewFrag)
-			if !ok {
-				return false
-			}
+	var start sim.Payload
+	if nd.inF {
+		start = dNewFrag{Core: nd.newCore}
+	}
+	return nd.bcastDown(start, func(m sim.Message) bool {
+		nf, ok := m.Payload.(dNewFrag)
+		if ok {
 			nd.frag = nf.Core
-			return true
-		})
+		}
+		return ok
+	})
 }
 
 // rerootStep is Step 7b: each fragment that kept its out-edge re-roots at

@@ -96,9 +96,8 @@ type rnode struct {
 	outcome         NodeOutcome
 	finished        bool
 
-	// Position: iteration it of the current attempt, round j of it
-	// (0 ≤ j < iterLen). Phases C–E keep their convergecast and verdict
-	// state here.
+	// Iteration it of the current attempt, at its round j; then the
+	// convergecast and verdict state of phases D and E.
 	it, j    int
 	or       bool
 	reports  int
@@ -107,18 +106,11 @@ type rnode struct {
 	keepAll  bool
 	sentDown bool
 
-	// Las Vegas verification: the running Metcalfe–Boggs schedule, the
-	// restart count, and node 0's info.
-	mb       *resolve.MetcalfeBoggsStep
+	mb       *resolve.MetcalfeBoggsStep // the running Las Vegas verification
 	restarts int
 	info     *RandomizedInfo
 	result   any
 }
-
-// iterLen is the fixed length of one iteration in rounds: a coin-flip
-// round, dmax+1 BFS rounds, the status exchange, dmax+2 convergecast
-// rounds, dmax+2 verdict rounds and the unfree announcement.
-func (nd *rnode) iterLen() int { return 3*nd.dmax + 8 }
 
 // reset restores the initial all-free state (used on Las Vegas restarts).
 func (nd *rnode) reset() {
@@ -175,13 +167,13 @@ func (nd *rnode) Step(in sim.Input) bool {
 			return true
 		}
 	default:
+		// An iteration lasts 3·dmax+8 rounds (see act); in the last one
+		// the unfree announcements arrive and the next iteration starts.
 		nd.j++
-		if nd.j < nd.iterLen() {
+		if nd.j < 3*nd.dmax+8 {
 			nd.receive(in.Msgs)
 			break
 		}
-		// The iteration's last round: the unfree announcements arrive and
-		// the next iteration starts in this same round.
 		nd.processDead(in.Msgs)
 		nd.it, nd.j = nd.it+1, 0
 		if nd.it == len(nd.probs) {
@@ -383,12 +375,7 @@ func (nd *rnode) attemptDone() bool {
 	}
 	isRoot := nd.outcome.ParentEdge == -1
 	nd.mb = resolve.NewMetcalfeBoggsStep(nd.c, nd.sqrtN, isRoot, int(nd.c.ID()), nil, 4*nd.sqrtN)
-	if nd.mb.Begin() {
-		if nd.verified() {
-			return true
-		}
-		nd.act()
-	}
+	nd.mb.Begin() // never done at once: the pair budget is positive
 	return false
 }
 

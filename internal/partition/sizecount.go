@@ -58,32 +58,21 @@ type sizeMachine struct {
 	script     []dstep
 	idUniverse int
 	idBits     int
+	phase      int
 
-	stage int
-	phase int
-	probe *resolve.CapetanakisStep
-	sched []resolve.ScheduledItem // the cores, once a probe succeeded
-	slot  int                     // the size slot awaiting its outcome
-	total int
-	result any
+	probe    *resolve.CapetanakisStep // the running probe
+	sched    []resolve.ScheduledItem  // the cores, once a probe succeeded
+	counting bool                     // the census after the successful probe
+	slot     int                      // the size slot awaiting its outcome; -1 before
+	total    int
+	result   any
 }
-
-// sizeMachine stages.
-const (
-	szPhase  = iota // a partition phase
-	szProbe         // the Capetanakis probe after it
-	szCensus        // the fragment census after a successful probe
-	szSlots         // the size slots
-)
-
-// countScript is the fragment census alone.
-var countScript = []dstep{{open: (*dnode).countStep}}
 
 func sizeProgram(idUniverse int) sim.StepProgram {
 	script := phaseScript(cvStepsFor(idUniverse), false)
 	idBits := bits.Len(uint(idUniverse - 1))
 	return func(c sim.Node) sim.Machine {
-		return &sizeMachine{dnode: newDNode(c), script: script, idUniverse: idUniverse, idBits: idBits}
+		return &sizeMachine{dnode: newDNode(c), script: script, idUniverse: idUniverse, idBits: idBits, slot: -1}
 	}
 }
 
@@ -91,54 +80,48 @@ func (m *sizeMachine) Step(in sim.Input) bool {
 	switch {
 	case in.Round == 0:
 		m.beginPhase(m.script, 0)
-	case m.stage == szProbe:
+	case m.slot >= 0:
+		if in.Slot.State != sim.SlotSuccess {
+			m.c.Failf("size slot for core %d was %v", m.sched[m.slot].ID, in.Slot.State)
+		}
+		m.total += in.Slot.Payload.(sizeSlot).Size
+		return m.nextSlot()
+	case m.probe != nil:
 		if !m.probe.Poll(in) {
 			return false
 		}
-		m.probed()
-	case m.stage == szSlots:
-		return m.sizeSlot(in)
+		// Re-count and broadcast the sizes if the schedule is complete and
+		// short enough; otherwise run the next phase. Either starts now.
+		if m.probe.Complete && len(m.probe.Sched) <= 1<<uint(min(m.phase, 30)) {
+			m.sched, m.counting = m.probe.Sched, true
+			m.run([]dstep{{open: (*dnode).countStep}})
+		} else {
+			m.phase++
+			if m.phase == maxSizePhases {
+				m.c.Failf("size probe never succeeded within %d phases", maxSizePhases)
+			}
+			m.beginPhase(m.script, m.phase)
+		}
+		m.probe = nil
 	}
 	for m.advance(in) {
-		if m.stage == szCensus {
+		if m.counting {
 			// Broadcast the sizes in schedule order, starting in this
 			// round; their sum is n.
-			m.stage, m.slot = szSlots, -1
-			return m.openSlot()
+			return m.nextSlot()
 		}
 		// Probe: can the cores be scheduled within the phase budget?
 		budget := 2*(1<<uint(min(m.phase, 30)))*(m.idBits+2) + 4
 		m.probe = resolve.NewCapetanakisStep(m.c, m.idUniverse, m.isCore(), int(m.c.ID()), nil, budget)
-		m.stage = szProbe
-		if !m.probe.Begin() {
-			return false
-		}
-		m.probed()
+		m.probe.Begin() // never done at once: the budget is positive
+		return false
 	}
 	return false
 }
 
-// probed judges a finished probe and starts what follows it in this round:
-// the census when the schedule is complete and short enough, otherwise the
-// next phase.
-func (m *sizeMachine) probed() {
-	if m.probe.Complete && len(m.probe.Sched) <= 1<<uint(min(m.phase, 30)) {
-		m.sched = m.probe.Sched
-		m.stage = szCensus
-		m.run(countScript)
-		return
-	}
-	m.phase++
-	if m.phase == maxSizePhases {
-		m.c.Failf("size probe never succeeded within %d phases", maxSizePhases)
-	}
-	m.stage = szPhase
-	m.beginPhase(m.script, m.phase)
-}
-
-// openSlot stages the broadcast of the next size slot, or halts once every
+// nextSlot stages the broadcast of the next size slot, or halts once every
 // scheduled core has spoken.
-func (m *sizeMachine) openSlot() bool {
+func (m *sizeMachine) nextSlot() bool {
 	m.slot++
 	if m.slot == len(m.sched) {
 		m.result = SizeCountResult{N: m.total, Phases: m.phase + 1}
@@ -148,15 +131,6 @@ func (m *sizeMachine) openSlot() bool {
 		m.c.Broadcast(sizeSlot{Size: m.size})
 	}
 	return false
-}
-
-// sizeSlot consumes one size slot's outcome.
-func (m *sizeMachine) sizeSlot(in sim.Input) bool {
-	if in.Slot.State != sim.SlotSuccess {
-		m.c.Failf("size slot for core %d was %v", m.sched[m.slot].ID, in.Slot.State)
-	}
-	m.total += in.Slot.Payload.(sizeSlot).Size
-	return m.openSlot()
 }
 
 func (m *sizeMachine) Result() any { return m.result }

@@ -68,6 +68,7 @@ func TestComputeMachinesRefuseCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := func(v graph.NodeID) int64 { return int64(v) }
+	//mmlint:commutative independent runs; names label, order never asserted
 	for name, prog := range map[string]sim.StepProgram{
 		"stage": stageProgram(f, Sum, in, StageCapetanakis, 4),
 		"broadcast-only": func(c sim.Node) sim.Machine {

@@ -111,11 +111,11 @@ type dnode struct {
 	c sim.Node
 	b *sim.StepBarrier
 
-	// The running script: its steps, the index of the current one, and
-	// that step's handler.
+	// The running script, the index of its current step, and that step's
+	// scratch state.
 	script []dstep
 	pc     int
-	handle handler
+	st     stepState
 
 	frag       graph.NodeID // fragment identity == core's node id
 	parentEdge int          // -1 at cores
@@ -134,6 +134,25 @@ type dnode struct {
 	// F-parent's (pushToChildren) and its F-children's (pushToParent).
 	par, kid     int64
 	parOK, kidOK bool
+}
+
+// stepState is the scratch state of the running barrier step, zeroed as
+// each step opens.
+type stepState struct {
+	started, replied bool
+	reports          int
+	sum              int         // countStep: sizes reported from below
+	val              int64       // the value a push or convergecast carries
+	acc              int64       // convUp: the reports combined so far
+	accSet           bool        // convUp: acc holds a report
+	start            sim.Payload // bcastDown: the core's payload (nil: silent)
+	keepOut          bool        // rerootStep: the core re-roots its fragment
+
+	// The MWOE search: the sequential scan's next link, the edge of the
+	// outstanding test and of a deferred one (-1: none), the tests in
+	// flight (parallel variant), and whether this node's search is over.
+	nextLink, awaiting, wantTest, pending int
+	testDone                              bool
 }
 
 // dphase is the part of a node's state that every phase starts afresh.
@@ -190,29 +209,37 @@ func (nd *dnode) sendChildren(p sim.Payload) {
 
 // --- The script runner ---------------------------------------------------
 
-// handler is one barrier step's per-round body: it performs the node's
-// sends for the round and reports whether the node is still active (see
-// sim.StepBarrier.Step).
-type handler = func(sim.Input) bool
-
 // dstep is one barrier-synchronized step of a script. open runs the
-// straight-line code before the step and returns the step's handler; close
-// runs the code after it, and then fcore at the cores of fragments in F
-// (the vertices Steps 3–6 recolor). All run on a pulse round — open on the
-// one that ended the previous step, the others on the step's own — so every
-// node runs them in the same round.
+// straight-line code before the step; handle is its per-round body (see
+// sim.StepBarrier.Step); close runs the code after it, and then fcore at
+// the cores of fragments in F (the vertices Steps 3–6 recolor). open runs
+// on the pulse round that ended the previous step, close and fcore on the
+// step's own, so every node runs them in the same round. All nodes share a
+// script; a step keeps its state in the node's stepState.
 type dstep struct {
-	open  func(nd *dnode) handler
-	close func(nd *dnode)
-	fcore func(nd *dnode)
+	open   func(nd *dnode)
+	handle func(nd *dnode, in sim.Input) bool
+	close  func(nd *dnode)
+	fcore  func(nd *dnode)
 }
 
 // run starts script on the current round; the caller then feeds this
 // round's input to advance.
 func (nd *dnode) run(script []dstep) {
 	nd.script, nd.pc = script, 0
-	nd.handle = script[0].open(nd)
+	nd.open()
 }
+
+// open opens the current step.
+func (nd *dnode) open() {
+	nd.st = stepState{}
+	if o := nd.script[nd.pc].open; o != nil {
+		o(nd)
+	}
+}
+
+// handle runs the current step's handler.
+func (nd *dnode) handle(in sim.Input) bool { return nd.script[nd.pc].handle(nd, in) }
 
 // advance feeds one round to the running script: one turn of the barrier,
 // and on a pulse the close of the finished step and the open of the next.
@@ -221,18 +248,18 @@ func (nd *dnode) run(script []dstep) {
 // the same input.
 func (nd *dnode) advance(in sim.Input) bool {
 	for nd.b.Step(in, nd.handle) {
-		st := &nd.script[nd.pc]
-		if st.close != nil {
-			st.close(nd)
+		step := &nd.script[nd.pc]
+		if step.close != nil {
+			step.close(nd)
 		}
-		if st.fcore != nil && nd.isCore() && nd.inF {
-			st.fcore(nd)
+		if step.fcore != nil && nd.isCore() && nd.inF {
+			step.fcore(nd)
 		}
 		nd.pc++
 		if nd.spanning || nd.pc == len(nd.script) {
 			return true
 		}
-		nd.handle = nd.script[nd.pc].open(nd)
+		nd.open()
 	}
 	return false
 }
@@ -242,110 +269,95 @@ func (nd *dnode) advance(in sim.Input) bool {
 // countStep runs Step 1's broadcast-and-respond: every core learns its
 // fragment size. Leaves respond immediately; inner nodes respond once all
 // children have.
-func (nd *dnode) countStep() handler {
-	reports := 0
-	sum := 1 // self
-	started := false
-	replied := false
-	return func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			switch p := m.Payload.(type) {
-			case dCount:
-				started = true
-				nd.sendChildren(dCount{})
-			case dSize:
-				reports++
-				sum += p.N
-			}
-		}
-		if nd.isCore() && !started {
-			started = true
+func (nd *dnode) countStep(in sim.Input) bool {
+	st := &nd.st
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dCount:
+			st.started = true
 			nd.sendChildren(dCount{})
+		case dSize:
+			st.reports++
+			st.sum += p.N
 		}
-		if started && !replied && reports == len(nd.children) {
-			replied = true
-			if nd.isCore() {
-				nd.size = sum
-			} else {
-				nd.c.Send(nd.parentLink(), dSize{N: sum})
-			}
-		}
-		return false
 	}
+	if nd.isCore() && !st.started {
+		st.started = true
+		nd.sendChildren(dCount{})
+	}
+	if st.started && !st.replied && st.reports == len(nd.children) {
+		st.replied = true
+		if nd.isCore() {
+			nd.size = st.sum + 1
+		} else {
+			nd.c.Send(nd.parentLink(), dSize{N: st.sum + 1})
+		}
+	}
+	return false
 }
 
-// bcastDown floods a payload from the core to its whole fragment: start
-// at the core (nil to stay silent), forwarded by every node that receives
-// it. on is invoked at every node with each received message and reports
-// whether its payload is the broadcast value to forward. Other message
-// types arriving during the same barrier step (e.g. unhooks crossing
-// fragments) return false and are merely observed. The core sees its own
-// start payload with EdgeID == -1.
-func (nd *dnode) bcastDown(start sim.Payload, on func(m sim.Message) bool) handler {
-	sent := false
-	return func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			if on(m) && !sent {
-				sent = true
-				nd.sendChildren(m.Payload)
-			}
+// bcastDown floods st.start from the core to its whole fragment (nil: the
+// core stays silent). on is invoked at every node with each received
+// message and reports whether its payload is the broadcast value to
+// forward. Other message types arriving during the same barrier step (e.g.
+// unhooks crossing fragments) return false and are merely observed. The
+// core sees its own payload with EdgeID == -1.
+func (nd *dnode) bcastDown(in sim.Input, on func(m sim.Message) bool) bool {
+	st := &nd.st
+	for _, m := range in.Msgs {
+		if on(m) && !st.started {
+			st.started = true
+			nd.sendChildren(m.Payload)
 		}
-		if nd.isCore() && !sent {
-			sent = true
-			if start != nil {
-				on(sim.Message{From: nd.c.ID(), EdgeID: -1, Payload: start})
-				nd.sendChildren(start)
-			}
-		}
-		return false
 	}
+	if nd.isCore() && !st.started {
+		st.started = true
+		if st.start != nil {
+			on(sim.Message{From: nd.c.ID(), EdgeID: -1, Payload: st.start})
+			nd.sendChildren(st.start)
+		}
+	}
+	return false
 }
 
 // convUp aggregates int64 values from the leaves to the core with an
-// associative, commutative combine, each aggregate travelling as a P: own
+// associative, commutative combine, each aggregate travelling as a P: st.val
 // is this node's contribution, and done receives the total at the core.
-func convUp[P any](nd *dnode, own int64, combine func(a, b int64) int64,
-	wrap func(v int64) P, unwrap func(p P) int64, done func(total int64)) handler {
-	reports := 0
-	var acc int64
-	accSet := false
-	replied := false
-	return func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			if p, ok := m.Payload.(P); ok {
-				reports++
-				if !accSet {
-					acc, accSet = unwrap(p), true
-				} else {
-					acc = combine(acc, unwrap(p))
-				}
+func convUp[P any](nd *dnode, in sim.Input, combine func(a, b int64) int64,
+	wrap func(v int64) P, unwrap func(p P) int64, done func(total int64)) bool {
+	st := &nd.st
+	for _, m := range in.Msgs {
+		if p, ok := m.Payload.(P); ok {
+			st.reports++
+			if !st.accSet {
+				st.acc, st.accSet = unwrap(p), true
+			} else {
+				st.acc = combine(st.acc, unwrap(p))
 			}
 		}
-		if !replied && reports == len(nd.children) {
-			replied = true
-			if !accSet {
-				acc = own
-			} else {
-				acc = combine(acc, own)
-			}
-			if nd.isCore() {
-				done(acc)
-			} else {
-				nd.c.Send(nd.parentLink(), wrap(acc))
-			}
-		}
-		return false
 	}
+	if !st.replied && st.reports == len(nd.children) {
+		st.replied = true
+		total := st.val
+		if st.accSet {
+			total = combine(st.acc, st.val)
+		}
+		if nd.isCore() {
+			done(total)
+		} else {
+			nd.c.Send(nd.parentLink(), wrap(total))
+		}
+	}
+	return false
 }
 
-// pushToChildren delivers each in-F core's value to the cores of all its
-// F-children: broadcast down the parent's tree, forward across every
+// pushToChildren delivers each in-F core's value st.val to the cores of all
+// its F-children: broadcast down the parent's tree, forward across every
 // surviving hook, then route up the child's tree to its core. Each core
 // ends the step with par/parOK holding the value received from its
 // F-parent (parOK is false at F-roots and outside F).
-func (nd *dnode) pushToChildren(kind uint8, value int64) handler {
-	nd.par, nd.parOK = 0, false
-	sentDown := false
+func (nd *dnode) pushToChildren(in sim.Input, kind uint8) bool {
+	st := &nd.st
 	relay := func(v int64) {
 		nd.sendChildren(dPushD{Kind: kind, V: v})
 		//mmlint:commutative sends on distinct edges; delivery sorts each inbox by (sender, edge id), so staging order never reaches transcripts
@@ -353,100 +365,91 @@ func (nd *dnode) pushToChildren(kind uint8, value int64) handler {
 			nd.c.Send(nd.c.LinkOf(e), dCross{Kind: kind, V: v})
 		}
 	}
-	return func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			switch p := m.Payload.(type) {
-			case dPushD:
-				if p.Kind == kind && !sentDown {
-					sentDown = true
-					relay(p.V)
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dPushD:
+			if p.Kind == kind && !st.started {
+				st.started = true
+				relay(p.V)
+			}
+		case dCross:
+			// Accept only on my fragment's live out-edge.
+			if p.Kind == kind && nd.chosen && !nd.dropOut && m.EdgeID == nd.outEdge {
+				if nd.isCore() {
+					nd.par, nd.parOK = p.V, true
+				} else {
+					nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
 				}
-			case dCross:
-				// Accept only on my fragment's live out-edge.
-				if p.Kind == kind && nd.chosen && !nd.dropOut && m.EdgeID == nd.outEdge {
-					if nd.isCore() {
-						nd.par, nd.parOK = p.V, true
-					} else {
-						nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
-					}
-				}
-			case dPushU:
-				if p.Kind == kind {
-					if nd.isCore() {
-						nd.par, nd.parOK = p.V, true
-					} else {
-						nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
-					}
+			}
+		case dPushU:
+			if p.Kind == kind {
+				if nd.isCore() {
+					nd.par, nd.parOK = p.V, true
+				} else {
+					nd.c.Send(nd.parentLink(), dPushU{Kind: kind, V: p.V})
 				}
 			}
 		}
-		if nd.isCore() && nd.inF && !sentDown {
-			sentDown = true
-			relay(value)
-		}
-		return false
 	}
+	if nd.isCore() && nd.inF && !st.started {
+		st.started = true
+		relay(st.val)
+	}
+	return false
 }
 
-// pushToParent delivers each non-root in-F core's value to its F-parent's
-// core: route down to the chosen node, across the MWOE, then aggregate up
-// the parent's tree with the associative combine. Each core ends the step
-// with kid/kidOK holding the aggregate over its F-children (kidOK is false
-// if it has none).
-func (nd *dnode) pushToParent(kind uint8, value int64, combine func(a, b int64) int64) handler {
-	nd.kid, nd.kidOK = 0, false
-	started := false
-	return func(in sim.Input) bool {
-		var up *int64 // aggregate to forward toward the core this round
-		add := func(v int64) {
-			if up == nil {
-				up = new(int64)
-				*up = v
-			} else {
-				*up = combine(*up, v)
-			}
+// pushToParent delivers each non-root in-F core's value st.val to its
+// F-parent's core: route down to the chosen node, across the MWOE, then
+// aggregate up the parent's tree with the associative combine. Each core
+// ends the step with kid/kidOK holding the aggregate over its F-children
+// (kidOK is false if it has none).
+func (nd *dnode) pushToParent(in sim.Input, kind uint8, combine func(a, b int64) int64) bool {
+	st := &nd.st
+	var up int64 // aggregate to forward toward the core this round
+	haveUp := false
+	route := func(v int64) {
+		if nd.downEdge == -1 { // I am the chosen endpoint
+			nd.c.Send(nd.c.LinkOf(nd.outEdge), dChildU{Kind: kind, V: v})
+		} else {
+			nd.c.Send(nd.c.LinkOf(nd.downEdge), dChildU{Kind: kind, V: v})
 		}
-		route := func(v int64) {
-			if nd.downEdge == -1 { // I am the chosen endpoint
-				nd.c.Send(nd.c.LinkOf(nd.outEdge), dChildU{Kind: kind, V: v})
-			} else {
-				nd.c.Send(nd.c.LinkOf(nd.downEdge), dChildU{Kind: kind, V: v})
-			}
-		}
-		for _, m := range in.Msgs {
-			p, isChild := m.Payload.(dChildU)
-			if !isChild || p.Kind != kind {
-				continue
-			}
-			if m.EdgeID == nd.parentEdge {
-				// Traveling down my own fragment toward the chosen node.
-				route(p.V)
-			} else {
-				// Arriving from a hook or a tree child: aggregate upward.
-				add(p.V)
-			}
-		}
-		if nd.isCore() && nd.inF && !nd.isFRoot && nd.keepsOut() && !started {
-			started = true
-			if nd.downEdge == -1 && nd.chosen {
-				nd.c.Send(nd.c.LinkOf(nd.outEdge), dChildU{Kind: kind, V: value})
-			} else {
-				route(value)
-			}
-		}
-		if up != nil {
-			if nd.isCore() {
-				if !nd.kidOK {
-					nd.kid, nd.kidOK = *up, true
-				} else {
-					nd.kid = combine(nd.kid, *up)
-				}
-			} else {
-				nd.c.Send(nd.parentLink(), dChildU{Kind: kind, V: *up})
-			}
-		}
-		return false
 	}
+	for _, m := range in.Msgs {
+		p, isChild := m.Payload.(dChildU)
+		if !isChild || p.Kind != kind {
+			continue
+		}
+		switch {
+		case m.EdgeID == nd.parentEdge:
+			// Traveling down my own fragment toward the chosen node.
+			route(p.V)
+		case !haveUp:
+			// Arriving from a hook or a tree child: aggregate upward.
+			up, haveUp = p.V, true
+		default:
+			up = combine(up, p.V)
+		}
+	}
+	if nd.isCore() && nd.inF && !nd.isFRoot && nd.keepsOut() && !st.started {
+		st.started = true
+		if nd.downEdge == -1 && nd.chosen {
+			nd.c.Send(nd.c.LinkOf(nd.outEdge), dChildU{Kind: kind, V: st.val})
+		} else {
+			route(st.val)
+		}
+	}
+	if haveUp {
+		if nd.isCore() {
+			if !nd.kidOK {
+				nd.kid, nd.kidOK = up, true
+			} else {
+				nd.kid = combine(nd.kid, up)
+			}
+		} else {
+			nd.c.Send(nd.parentLink(), dChildU{Kind: kind, V: up})
+		}
+	}
+	return false
 }
 
 // cvStepsFor returns the number of Cole–Vishkin iterations that reduce any

@@ -9,91 +9,101 @@ import (
 	"repro/internal/sim"
 )
 
-// mwoeStep runs Step 2: nodes of active fragments test their incident edges
-// in ascending weight order (GHS test/accept/reject — a rejected edge is
-// intra-fragment forever and never tested again), and the minimum accepted
-// edge is convergecast to the core, recording down-pointers for later
-// routing. Every node, active or not, answers tests against its current
-// fragment. One barrier step.
-func (nd *dnode) mwoeStep() handler {
-	c := nd.c
-	adj := c.Adj()
+// openMWOE opens Step 2: nodes of active fragments test their incident
+// edges in ascending weight order (GHS test/accept/reject — a rejected edge
+// is intra-fragment forever and never tested again), and the minimum
+// accepted edge is convergecast to the core, recording down-pointers for
+// later routing. Every node, active or not, answers tests against its
+// current fragment. One barrier step, run by mwoeStep.
+func (nd *dnode) openMWOE() {
 	nd.cand = dMin{Valid: false, W: noWeight}
 	nd.best = dMin{Valid: false, W: noWeight}
 	nd.downEdge = -1
-	nextLink := 0
-	awaiting := -1 // edge id of the outstanding test
-	wantTest := -1 // edge id of a test not yet sent (deferred if the link is busy)
-	testDone := !nd.active
-	reports := 0
-	replied := false
+	nd.st.awaiting, nd.st.wantTest = -1, -1
+	nd.st.testDone = !nd.active
+	if nd.active {
+		nd.nextTest()
+	}
+}
 
-	// advance moves the sequential scan to the next untested, non-rejected,
-	// non-tree edge.
-	advance := func() {
-		for nextLink < len(adj) {
-			h := adj[nextLink]
-			nextLink++
-			if nd.rejected[int(h.EdgeID)] || int(h.EdgeID) == nd.parentEdge || nd.children[int(h.EdgeID)] {
+// nextTest moves the sequential scan to the next untested, non-rejected,
+// non-tree edge.
+func (nd *dnode) nextTest() {
+	st := &nd.st
+	for adj := nd.c.Adj(); st.nextLink < len(adj); {
+		h := adj[st.nextLink]
+		st.nextLink++
+		if nd.rejected[int(h.EdgeID)] || int(h.EdgeID) == nd.parentEdge || nd.children[int(h.EdgeID)] {
+			continue
+		}
+		st.wantTest = int(h.EdgeID)
+		return
+	}
+	st.testDone = true // exhausted: no outgoing candidate
+}
+
+func (nd *dnode) mwoeStep(in sim.Input) bool {
+	c, st := nd.c, &nd.st
+	var repliedOn map[int]bool // edges that carried a reply this round
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dTest:
+			c.Send(c.LinkOf(m.EdgeID), dReply{Accept: p.Frag != nd.frag, Frag: nd.frag})
+			if repliedOn == nil {
+				repliedOn = make(map[int]bool, 1)
+			}
+			repliedOn[m.EdgeID] = true
+		case dReply:
+			if m.EdgeID != st.awaiting {
 				continue
 			}
-			wantTest = int(h.EdgeID)
-			return
+			st.awaiting = -1
+			if p.Accept {
+				e := c.Topo().Edge(m.EdgeID)
+				nd.cand = dMin{Valid: true, W: e.Weight, Edge: m.EdgeID, Target: p.Frag}
+				st.testDone = true
+			} else {
+				nd.rejected[m.EdgeID] = true
+				nd.nextTest()
+			}
+		case dMin:
+			nd.report(m.EdgeID, p)
 		}
-		testDone = true // exhausted: no outgoing candidate
 	}
-	if nd.active {
-		advance()
+	// Flush a deferred test unless this round's reply already used the
+	// link (one message per link per round).
+	if st.wantTest != -1 && !repliedOn[st.wantTest] {
+		c.Send(c.LinkOf(st.wantTest), dTest{Frag: nd.frag})
+		st.awaiting = st.wantTest
+		st.wantTest = -1
 	}
-	return func(in sim.Input) bool {
-		var repliedOn map[int]bool // edges that carried a reply this round
-		for _, m := range in.Msgs {
-			switch p := m.Payload.(type) {
-			case dTest:
-				c.Send(c.LinkOf(m.EdgeID), dReply{Accept: p.Frag != nd.frag, Frag: nd.frag})
-				if repliedOn == nil {
-					repliedOn = make(map[int]bool, 1)
-				}
-				repliedOn[m.EdgeID] = true
-			case dReply:
-				if m.EdgeID != awaiting {
-					continue
-				}
-				awaiting = -1
-				if p.Accept {
-					e := c.Topo().Edge(m.EdgeID)
-					nd.cand = dMin{Valid: true, W: e.Weight, Edge: m.EdgeID, Target: p.Frag}
-					testDone = true
-				} else {
-					nd.rejected[m.EdgeID] = true
-					advance()
-				}
-			case dMin:
-				reports++
-				if p.Valid && p.W < nd.best.W {
-					nd.best = p
-					nd.downEdge = m.EdgeID
-				}
-			}
-		}
-		// Flush a deferred test unless this round's reply already used the
-		// link (one message per link per round).
-		if wantTest != -1 && !repliedOn[wantTest] {
-			c.Send(c.LinkOf(wantTest), dTest{Frag: nd.frag})
-			awaiting = wantTest
-			wantTest = -1
-		}
-		if !replied && testDone && reports == len(nd.children) {
-			replied = true
-			if nd.cand.Valid && nd.cand.W < nd.best.W {
-				nd.best = nd.cand
-				nd.downEdge = -1
-			}
-			if !nd.isCore() {
-				c.Send(nd.parentLink(), nd.best)
-			}
-		}
-		return (nd.active && !replied) || wantTest != -1
+	nd.reportMWOE()
+	return (nd.active && !st.replied) || st.wantTest != -1
+}
+
+// report folds a child's subtree minimum into the MWOE search.
+func (nd *dnode) report(edgeID int, p dMin) {
+	nd.st.reports++
+	if p.Valid && p.W < nd.best.W {
+		nd.best = p
+		nd.downEdge = edgeID
+	}
+}
+
+// reportMWOE passes the subtree minimum up once this node's own search is
+// over and every child reported.
+func (nd *dnode) reportMWOE() {
+	st := &nd.st
+	if st.replied || !st.testDone || st.reports != len(nd.children) {
+		return
+	}
+	st.replied = true
+	if nd.cand.Valid && nd.cand.W < nd.best.W {
+		nd.best = nd.cand
+		nd.downEdge = -1
+	}
+	if !nd.isCore() {
+		nd.c.Send(nd.parentLink(), nd.best)
 	}
 }
 
@@ -101,9 +111,8 @@ func (nd *dnode) mwoeStep() handler {
 // down-pointers to the MWOE endpoint, which hooks across the selected edge.
 // Hooks from other fragments arrive during the same barrier step and are
 // absorbed here.
-func (nd *dnode) chooseAndHookStep() handler {
+func (nd *dnode) chooseAndHookStep(in sim.Input) bool {
 	c := nd.c
-	started := false
 	route := func() {
 		if nd.downEdge == -1 {
 			nd.chosen = true
@@ -113,22 +122,20 @@ func (nd *dnode) chooseAndHookStep() handler {
 			c.Send(c.LinkOf(nd.downEdge), dChosen{})
 		}
 	}
-	return func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			switch p := m.Payload.(type) {
-			case dChosen:
-				route()
-			case dHook:
-				nd.hooks[m.EdgeID] = true
-				nd.hookFrom[m.EdgeID] = p.Frag
-			}
-		}
-		if nd.isCore() && nd.hasOut && !started {
-			started = true
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dChosen:
 			route()
+		case dHook:
+			nd.hooks[m.EdgeID] = true
+			nd.hookFrom[m.EdgeID] = p.Frag
 		}
-		return false
 	}
+	if nd.isCore() && nd.hasOut && !nd.st.started {
+		nd.st.started = true
+		route()
+	}
+	return false
 }
 
 // beginPhase resets the per-phase state and starts phase phaseIdx of
@@ -141,30 +148,35 @@ func (nd *dnode) beginPhase(script []dstep, phaseIdx int) {
 	nd.run(script)
 }
 
+// Opens of the push steps: the value carried, and a fresh result slot.
+func (nd *dnode) openPushDown(v int64) { nd.st.val, nd.par, nd.parOK = v, 0, false }
+func (nd *dnode) openPushUp(v int64)   { nd.st.val, nd.kid, nd.kidOK = v, 0, false }
+
 // phaseScript returns one complete phase as a script of barrier steps,
 // shared read-only by every node of a run. A phase ends early, after its
 // second step, once one fragment spans the whole network.
 func phaseScript(cvIters int, parallelMWOE bool) []dstep {
-	mwoe := (*dnode).mwoeStep
+	mwoe := dstep{open: (*dnode).openMWOE, handle: (*dnode).mwoeStep}
 	if parallelMWOE {
-		mwoe = (*dnode).mwoeStepParallel
+		mwoe = dstep{open: (*dnode).openMWOEParallel, handle: (*dnode).mwoeStepParallel}
+	}
+	mwoe.close = func(nd *dnode) {
+		if nd.isCore() {
+			nd.hasOut = nd.active && nd.best.Valid
+		}
 	}
 	s := []dstep{
 		// Step 1: count sizes; broadcast activity (⌊log2 size⌋ == phase)
 		// and the early-exit flag (a fragment spanning the whole graph).
-		{open: (*dnode).countStep},
-		{open: (*dnode).activeStep},
+		{handle: (*dnode).countStep},
+		{open: (*dnode).openActive, handle: (*dnode).activeStep},
 		// Step 2: minimum-weight outgoing edges.
-		{open: mwoe, close: func(nd *dnode) {
-			if nd.isCore() {
-				nd.hasOut = nd.active && nd.best.Valid
-			}
-		}},
+		mwoe,
 		// Step 2b: route CHOSEN; the endpoint hooks across the MWOE.
-		{open: (*dnode).chooseAndHookStep},
-		{open: (*dnode).mutualStep},
-		{open: (*dnode).dropStep},
-		{open: (*dnode).hasKidsStep, close: func(nd *dnode) {
+		{handle: (*dnode).chooseAndHookStep},
+		{open: (*dnode).openMutual, handle: (*dnode).mutualStep},
+		{open: (*dnode).openDrop, handle: (*dnode).dropStep},
+		{open: (*dnode).openHasKids, handle: (*dnode).hasKidsStep, close: func(nd *dnode) {
 			if nd.isCore() {
 				keepOut := nd.hasOut && !nd.dropOut
 				nd.inF = keepOut || nd.hasKids
@@ -177,9 +189,10 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 	// Step 3: distributed GPS three-coloring of F. Initial colors are core
 	// ids; cvIters Cole–Vishkin rounds reduce them below six; three
 	// shift-down/recolor rounds eliminate colors 5, 4 and 3.
-	pushColor := func(nd *dnode) handler { return nd.pushToChildren(pkColor, nd.color) }
+	openColor := func(nd *dnode) { nd.openPushDown(nd.color) }
+	pushColor := func(nd *dnode, in sim.Input) bool { return nd.pushToChildren(in, pkColor) }
 	for range cvIters {
-		s = append(s, dstep{open: pushColor, fcore: func(nd *dnode) {
+		s = append(s, dstep{open: openColor, handle: pushColor, fcore: func(nd *dnode) {
 			father := nd.color ^ 1 // F-roots pretend bit 0 differs
 			if nd.parOK {
 				father = nd.par
@@ -191,7 +204,7 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 		s = append(s,
 			// Shift-down: take the F-parent's color; roots take the
 			// smallest color different from their own.
-			dstep{open: pushColor, fcore: func(nd *dnode) {
+			dstep{open: openColor, handle: pushColor, fcore: func(nd *dnode) {
 				if nd.parOK {
 					nd.color = nd.par
 				} else {
@@ -201,10 +214,10 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 			// Children push their (uniform) post-shift color up; parents
 			// push their post-shift color down; vertices colored drop pick
 			// the smallest free color in {0,1,2}.
-			dstep{open: func(nd *dnode) handler {
-				return nd.pushToParent(pkChildC, nd.color, func(a, b int64) int64 { return a })
+			dstep{open: func(nd *dnode) { nd.openPushUp(nd.color) }, handle: func(nd *dnode, in sim.Input) bool {
+				return nd.pushToParent(in, pkChildC, func(a, b int64) int64 { return a })
 			}},
-			dstep{open: pushColor, fcore: func(nd *dnode) {
+			dstep{open: openColor, handle: pushColor, fcore: func(nd *dnode) {
 				if nd.color != drop {
 					return
 				}
@@ -228,9 +241,8 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 	// Step 4: make every F-root red while keeping the coloring legal
 	// (children need their parent's pre-step color and root status).
 	s = append(s, dstep{
-		open: func(nd *dnode) handler {
-			return nd.pushToChildren(pkColor, encodeRootColor(nd.isFRoot, nd.color))
-		},
+		open:   func(nd *dnode) { nd.openPushDown(encodeRootColor(nd.isFRoot, nd.color)) },
+		handle: pushColor,
 		fcore: func(nd *dnode) {
 			if !nd.parOK {
 				nd.color = int64(coloring.Red) // F-root becomes (or stays) red
@@ -247,10 +259,10 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 
 	// Step 5: promote blue then green vertices with no red neighbor.
 	for _, promote := range []int64{int64(coloring.Blue), int64(coloring.Green)} {
-		s = append(s, dstep{open: pushColor}, dstep{
-			open: func(nd *dnode) handler {
-				return nd.pushToParent(pkRed, b2i64(nd.color == int64(coloring.Red)),
-					func(a, b int64) int64 { return a | b })
+		s = append(s, dstep{open: openColor, handle: pushColor}, dstep{
+			open: func(nd *dnode) { nd.openPushUp(b2i64(nd.color == int64(coloring.Red))) },
+			handle: func(nd *dnode, in sim.Input) bool {
+				return nd.pushToParent(in, pkRed, func(a, b int64) int64 { return a | b })
 			},
 			fcore: func(nd *dnode) {
 				redNbr := (nd.parOK && nd.par == int64(coloring.Red)) || (nd.kidOK && nd.kid == 1)
@@ -266,7 +278,7 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 	// depth ≤ 4, so five pushes suffice).
 	for hop := 0; hop < 5; hop++ {
 		s = append(s, dstep{
-			open: func(nd *dnode) handler {
+			open: func(nd *dnode) {
 				if hop == 0 && nd.isCore() && nd.inF {
 					redInternal := nd.color == int64(coloring.Red) && nd.hasKids
 					if nd.isFRoot || redInternal {
@@ -276,8 +288,9 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 						nd.dropOut = true // the out-edge (if any) is cut for merging
 					}
 				}
-				return nd.pushToChildren(pkChase, int64(nd.newCore))
+				nd.openPushDown(int64(nd.newCore))
 			},
+			handle: func(nd *dnode, in sim.Input) bool { return nd.pushToChildren(in, pkChase) },
 			fcore: func(nd *dnode) {
 				if nd.newCore == -1 && nd.parOK && nd.par != -1 {
 					nd.newCore = graph.NodeID(nd.par)
@@ -287,32 +300,38 @@ func phaseScript(cvIters int, parallelMWOE bool) []dstep {
 	}
 
 	// Step 7: broadcast the new fragment identity, then merge physically.
-	return append(s, dstep{open: (*dnode).newFragStep}, dstep{open: (*dnode).rerootStep})
+	return append(s,
+		dstep{open: (*dnode).openNewFrag, handle: (*dnode).newFragStep},
+		dstep{open: func(nd *dnode) { nd.st.keepOut = nd.isCore() && nd.hasOut && !nd.dropOut }, handle: (*dnode).rerootStep})
 }
 
-// activeStep is Step 1's second half: the core broadcasts whether the
-// fragment is active this phase and whether it spans the whole network.
-func (nd *dnode) activeStep() handler {
+// Step 1's second half: the core broadcasts whether the fragment is active
+// this phase and whether it spans the whole network.
+func (nd *dnode) openActive() {
 	level := bits.Len(uint(nd.size)) - 1
-	return nd.bcastDown(dActive{Active: level == nd.phaseIdx, Done: nd.size == nd.c.N()},
-		func(m sim.Message) bool {
-			a, ok := m.Payload.(dActive)
-			if ok {
-				nd.active, nd.spanning = a.Active, a.Done
-			}
-			return ok
-		})
+	nd.st.start = dActive{Active: level == nd.phaseIdx, Done: nd.size == nd.c.N()}
 }
 
-// mutualStep is Step 2c: convergecast the chosen node's mutuality report
-// (mutual iff a hook arrived on its own out-edge), encoded as
-// other-core-id + 1.
-func (nd *dnode) mutualStep() handler {
-	var own int64
+func (nd *dnode) activeStep(in sim.Input) bool {
+	return nd.bcastDown(in, func(m sim.Message) bool {
+		a, ok := m.Payload.(dActive)
+		if ok {
+			nd.active, nd.spanning = a.Active, a.Done
+		}
+		return ok
+	})
+}
+
+// Step 2c: convergecast the chosen node's mutuality report (mutual iff a
+// hook arrived on its own out-edge), encoded as other-core-id + 1.
+func (nd *dnode) openMutual() {
 	if other, ok := nd.hookFrom[nd.outEdge]; ok && nd.chosen {
-		own = int64(other) + 1
+		nd.st.val = int64(other) + 1
 	}
-	return convUp(nd, own,
+}
+
+func (nd *dnode) mutualStep(in sim.Input) bool {
+	return convUp(nd, in,
 		func(a, b int64) int64 {
 			if a != 0 {
 				return a
@@ -329,15 +348,18 @@ func (nd *dnode) mutualStep() handler {
 		func(total int64) { nd.mutual, nd.mutualOth = total != 0, graph.NodeID(total-1) })
 }
 
-// dropStep is Step 2d: broadcast the drop decision (the higher core of a
-// mutually selected edge roots the F-tree and drops its out-edge); a
-// dropping fragment's chosen node unhooks across, absorbed in this same
-// step.
-func (nd *dnode) dropStep() handler {
+// Step 2d: broadcast the drop decision (the higher core of a mutually
+// selected edge roots the F-tree and drops its out-edge); a dropping
+// fragment's chosen node unhooks across, absorbed in this same step.
+func (nd *dnode) openDrop() {
 	if nd.isCore() {
 		nd.dropOut = nd.hasOut && nd.mutual && nd.frag > nd.mutualOth
 	}
-	return nd.bcastDown(dDrop{Drop: nd.dropOut}, func(m sim.Message) bool {
+	nd.st.start = dDrop{Drop: nd.dropOut}
+}
+
+func (nd *dnode) dropStep(in sim.Input) bool {
+	return nd.bcastDown(in, func(m sim.Message) bool {
 		switch d := m.Payload.(type) {
 		case dDrop:
 			nd.dropOut = d.Drop
@@ -353,23 +375,27 @@ func (nd *dnode) dropStep() handler {
 	})
 }
 
-// hasKidsStep is Step 2e: convergecast whether any hooks survive (the
-// fragment has F-children).
-func (nd *dnode) hasKidsStep() handler {
-	return convUp(nd, b2i64(len(nd.hooks) > 0),
+// Step 2e: convergecast whether any hooks survive (the fragment has
+// F-children).
+func (nd *dnode) openHasKids() { nd.st.val = b2i64(len(nd.hooks) > 0) }
+
+func (nd *dnode) hasKidsStep(in sim.Input) bool {
+	return convUp(nd, in,
 		func(a, b int64) int64 { return a | b },
 		func(v int64) dHasKids { return dHasKids{Has: v == 1} },
 		func(h dHasKids) int64 { return b2i64(h.Has) },
 		func(total int64) { nd.hasKids = total == 1 })
 }
 
-// newFragStep is Step 7a: broadcast the new fragment identity.
-func (nd *dnode) newFragStep() handler {
-	var start sim.Payload
+// Step 7a: broadcast the new fragment identity.
+func (nd *dnode) openNewFrag() {
 	if nd.inF {
-		start = dNewFrag{Core: nd.newCore}
+		nd.st.start = dNewFrag{Core: nd.newCore}
 	}
-	return nd.bcastDown(start, func(m sim.Message) bool {
+}
+
+func (nd *dnode) newFragStep(in sim.Input) bool {
+	return nd.bcastDown(in, func(m sim.Message) bool {
 		nf, ok := m.Payload.(dNewFrag)
 		if ok {
 			nd.frag = nf.Core
@@ -381,10 +407,8 @@ func (nd *dnode) newFragStep() handler {
 // rerootStep is Step 7b: each fragment that kept its out-edge re-roots at
 // the chosen node (flipping parent pointers along the core→chosen path) and
 // attaches across the MWOE; hooked nodes add the cross edge as a child.
-func (nd *dnode) rerootStep() handler {
+func (nd *dnode) rerootStep(in sim.Input) bool {
 	c := nd.c
-	started := false
-	keepOut := nd.isCore() && nd.hasOut && !nd.dropOut
 	flip := func() {
 		if nd.downEdge == -1 {
 			// I am the chosen node: attach across.
@@ -402,21 +426,19 @@ func (nd *dnode) rerootStep() handler {
 			delete(nd.children, nd.downEdge)
 		}
 	}
-	return func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			switch m.Payload.(type) {
-			case dReroot:
-				flip()
-			case dAttach:
-				nd.children[m.EdgeID] = true
-			}
-		}
-		if keepOut && !started {
-			started = true
+	for _, m := range in.Msgs {
+		switch m.Payload.(type) {
+		case dReroot:
 			flip()
+		case dAttach:
+			nd.children[m.EdgeID] = true
 		}
-		return false
 	}
+	if nd.st.keepOut && !nd.st.started {
+		nd.st.started = true
+		flip()
+	}
+	return false
 }
 
 func smallestColorExcept(c int64) int64 {
@@ -467,14 +489,11 @@ type detMachine struct {
 	result any
 }
 
-// deterministicProgram runs `phases` phases of the deterministic partition;
-// parallelMWOE selects the A4 ablation's edge testing.
-func deterministicProgram(phases int, parallelMWOE bool, info *DeterministicInfo) sim.StepProgram {
-	var script []dstep
+// deterministicProgram runs `phases` phases of the deterministic partition
+// on n nodes; parallelMWOE selects the A4 ablation's edge testing.
+func deterministicProgram(n, phases int, parallelMWOE bool, info *DeterministicInfo) sim.StepProgram {
+	script := phaseScript(cvStepsFor(n), parallelMWOE)
 	return func(c sim.Node) sim.Machine {
-		if script == nil {
-			script = phaseScript(cvStepsFor(c.N()), parallelMWOE)
-		}
 		return &detMachine{dnode: newDNode(c), script: script, phases: phases, info: info}
 	}
 }
@@ -496,8 +515,13 @@ func (m *detMachine) Step(in sim.Input) bool {
 	return false
 }
 
+// finish records the node's final view of the partition.
 func (m *detMachine) finish() bool {
-	m.result = m.outcome()
+	parent := graph.NodeID(-1)
+	if m.parentEdge != -1 {
+		parent = m.c.Topo().Edge(m.parentEdge).Other(m.c.ID())
+	}
+	m.result = NodeOutcome{Parent: parent, ParentEdge: m.parentEdge, Root: m.frag}
 	if m.c.ID() == 0 {
 		*m.info = DeterministicInfo{Phases: min(m.phase+1, m.phases), CVSteps: cvStepsFor(m.c.N()), Finished: true}
 	}
@@ -505,15 +529,6 @@ func (m *detMachine) finish() bool {
 }
 
 func (m *detMachine) Result() any { return m.result }
-
-// outcome is the node's final view of the partition.
-func (nd *dnode) outcome() NodeOutcome {
-	parent := graph.NodeID(-1)
-	if nd.parentEdge != -1 {
-		parent = nd.c.Topo().Edge(nd.parentEdge).Other(nd.c.ID())
-	}
-	return NodeOutcome{Parent: parent, ParentEdge: nd.parentEdge, Root: nd.frag}
-}
 
 // DeterministicPhaseCount returns the paper's phase budget ⌈log2(n)/2⌉,
 // which yields fragments of size ≥ √n and radius O(√n).
@@ -530,7 +545,7 @@ func DeterministicPhaseCount(n int) int {
 // MST), run metrics, and info.
 func DeterministicPhases(g graph.Topology, seed int64, phases int) (*forest.Forest, *sim.Metrics, *DeterministicInfo, error) {
 	var info DeterministicInfo
-	f, met, err := runAndBuild(g, deterministicProgram(phases, false, &info), seed)
+	f, met, err := runAndBuild(g, deterministicProgram(g.N(), phases, false, &info), seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}

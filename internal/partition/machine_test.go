@@ -14,15 +14,15 @@ import (
 func machinePrograms(n int) map[string]func() sim.StepProgram {
 	return map[string]func() sim.StepProgram{
 		"deterministic": func() sim.StepProgram {
-			return deterministicProgram(DeterministicPhaseCount(n), false, new(DeterministicInfo))
+			return deterministicProgram(n, DeterministicPhaseCount(n), false, new(DeterministicInfo))
 		},
 		"parallel-mwoe": func() sim.StepProgram {
-			return deterministicProgram(DeterministicPhaseCount(n), true, new(DeterministicInfo))
+			return deterministicProgram(n, DeterministicPhaseCount(n), true, new(DeterministicInfo))
 		},
 		"randomized":  func() sim.StepProgram { return randomizedProgram(false, new(RandomizedInfo)) },
 		"las-vegas":   func() sim.StepProgram { return randomizedProgram(true, new(RandomizedInfo)) },
 		"size-count":  func() sim.StepProgram { return sizeProgram(64) },
-		"boruvka-all": func() sim.StepProgram { return deterministicProgram(7, false, new(DeterministicInfo)) },
+		"boruvka-all": func() sim.StepProgram { return deterministicProgram(n, 7, false, new(DeterministicInfo)) },
 	}
 }
 

@@ -68,6 +68,9 @@ type sizeMachine struct {
 	result   any
 }
 
+// countScript is the fragment census alone.
+var countScript = []dstep{{handle: (*dnode).countStep}}
+
 func sizeProgram(idUniverse int) sim.StepProgram {
 	script := phaseScript(cvStepsFor(idUniverse), false)
 	idBits := bits.Len(uint(idUniverse - 1))
@@ -94,7 +97,7 @@ func (m *sizeMachine) Step(in sim.Input) bool {
 		// short enough; otherwise run the next phase. Either starts now.
 		if m.probe.Complete && len(m.probe.Sched) <= 1<<uint(min(m.phase, 30)) {
 			m.sched, m.counting = m.probe.Sched, true
-			m.run([]dstep{{open: (*dnode).countStep}})
+			m.run(countScript)
 		} else {
 			m.phase++
 			if m.phase == maxSizePhases {

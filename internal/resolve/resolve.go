@@ -13,6 +13,9 @@
 package resolve
 
 import (
+	"fmt"
+
+	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
@@ -67,6 +70,41 @@ func (m *soloMachine) Step(in sim.Input) bool {
 }
 
 func (m *soloMachine) Result() any { return m.result }
+
+// Elect runs the §2 deterministic election over the whole network on
+// sim.DefaultEngine (mmnet -algo elect), every node contending with its own
+// id; the winner is the maximum id, known to every node.
+func Elect(g graph.Topology, seed int64) (leader int, met sim.Metrics, err error) {
+	res, err := sim.RunStep(g, func(c sim.Node) sim.Machine {
+		e := NewElectionStep(c, c.N(), true, int(c.ID()))
+		return Machine(e, func() any {
+			if !e.OK {
+				c.Failf("no contenders")
+			}
+			return e.Leader
+		})
+	}, sim.WithSeed(seed), sim.WithEngine(sim.DefaultEngine))
+	if err != nil {
+		return 0, sim.Metrics{}, err
+	}
+	// Crash-stopped nodes record nothing; the survivors must agree.
+	found := false
+	for v, r := range res.Results {
+		l, ok := r.(int)
+		if !ok {
+			continue
+		}
+		if !found {
+			leader, found = l, true
+		} else if l != leader {
+			return 0, sim.Metrics{}, fmt.Errorf("resolve: node %d elected %v, others %v", v, l, leader)
+		}
+	}
+	if !found {
+		return 0, sim.Metrics{}, fmt.Errorf("resolve: no surviving node elected a leader")
+	}
+	return leader, res.Metrics, nil
+}
 
 // interval is one id range on the Capetanakis splitting stack.
 type interval struct{ lo, hi int }

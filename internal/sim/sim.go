@@ -33,13 +33,12 @@
 //
 // Both entry points take either engine. RunStep(..., WithEngine(EngineGoroutine))
 // drives a step program's machines from node goroutines, one Step per Tick,
-// every node every round — the oracle the step engine's sleep and
-// fast-forward paths are checked against. Every protocol of this module is
-// such a machine; multi-stage ones sequence their stages inside one machine,
-// ending each barrier-synchronized step at the §7.1 pulse of a single
-// StepBarrier (stepbarrier.go). Run(..., WithEngine(EngineStep)) executes a
-// user's goroutine Program on the step engine through a built-in adapter.
-// Either way the results and metrics are identical.
+// every node every round — the oracle for the step engine's sleep and
+// fast-forward paths. Every protocol of this module is such a machine,
+// ending its barrier-synchronized steps on one StepBarrier (stepbarrier.go).
+// Run(..., WithEngine(EngineStep)) runs a goroutine Program on the step
+// engine through a built-in adapter. Either way the results and metrics are
+// identical.
 //
 // # Determinism contract
 //

@@ -68,10 +68,9 @@ fuzz:
 ## fuzz-smoke: a bounded pass of both fuzzers (CI's fuzz-smoke job) — the
 ## fault-plan DSL parser (an error, never a panic) and the engine
 ## differential fuzzer, whose protocol axis includes the paper's pipelines
-FUZZ_SMOKE_TIME ?= 30s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime $(FUZZ_SMOKE_TIME) ./internal/fault
-	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime $(FUZZ_SMOKE_TIME) .
+	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 30s ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s .
 
 ## golden: regenerate the committed transcript fixtures (intentional
 ## determinism changes only)

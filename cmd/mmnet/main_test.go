@@ -63,7 +63,7 @@ func TestRunErrors(t *testing.T) {
 		{"-graph", "nope"},
 		{"-engine", "nope"},
 		{"-faults", "nope:1@2"},
-		{"-graph", "ring", "-n", "12", "-faults", "crash:99@1"}, // node outside graph
+		{"-graph", "ring", "-n", "12", "-faults", "crash:99@1"},            // node outside graph
 		{"-graph", "ring:64", "-algo", "estimate", "-faults", "crash:0@2"}, // node 0 records no estimate
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {

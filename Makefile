@@ -65,12 +65,17 @@ bench-quick:
 fuzz:
 	$(GO) test -fuzz FuzzEngineEquivalence -fuzztime 60s -run '^$$' .
 
-## fuzz-smoke: a bounded pass of both fuzzers (CI's fuzz-smoke job) — the
-## fault-plan DSL parser (an error, never a panic) and the engine
-## differential fuzzer, whose protocol axis includes the paper's pipelines
+## fuzz-smoke: a bounded pass of the three fuzzers (CI's fuzz-smoke job) —
+## the fault-plan DSL parser (an error, never a panic), the engine
+## differential fuzzer, whose protocol axis includes the paper's pipelines,
+## and the MMCP checkpoint reader plus Resume (an error or a result, never a
+## panic). The checkpoint fuzzer's inputs are multi-kilobyte gob bodies, so
+## the default 60 s minimization of each new interesting input would eat
+## its whole budget; it minimizes for 2 s instead.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/sim
 
 ## golden: regenerate the committed transcript fixtures (intentional
 ## determinism changes only)
@@ -139,7 +144,7 @@ resume-smoke:
 ## byte-identical at workers 1 and 4 (census is a native step protocol; the
 ## worker axis is its concurrency surface — goroutine-vs-step equivalence
 ## for the v2 rules is difftest's job). Leg 2: the randomized global sum
-## under a partition that really cuts (95 partitioned drops) and under a
+## under a partition that really cuts (103 partitioned drops) and under a
 ## crash-restart, on both engines, with all output after the engine-naming
 ## header line required identical — same sum, same rounds, same fault
 ## counters (the plan is re-applied beneath each stage of the multi-stage
@@ -158,16 +163,20 @@ chaos2-smoke:
 		-transcript $(CHAOS2_SMOKE_DIR)/w4.mmtr
 	cmp $(CHAOS2_SMOKE_DIR)/w1.mmtr $(CHAOS2_SMOKE_DIR)/w4.mmtr
 	set -e; for eng in goroutine step; do \
+		out=$(CHAOS2_SMOKE_DIR)/part-$$eng; \
 		$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_SUM_ARGS) -engine $$eng \
-			-faults 'seed:7;partition:2@3-6' 2>&1 \
-			| grep -v '^graph=' > $(CHAOS2_SMOKE_DIR)/part-$$eng.txt; \
-		$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_SUM_ARGS) -engine $$eng \
-			-faults 'seed:7;crash:5@2;restart:5@4' 2>&1 \
-			| grep -v '^graph=' > $(CHAOS2_SMOKE_DIR)/rest-$$eng.txt; \
+			-faults 'seed:7;partition:2@3-6' > $$out.out 2>&1 || { cat $$out.out; exit 1; }; \
+		grep -v '^graph=' $$out.out > $$out.txt; \
 	done
 	cmp $(CHAOS2_SMOKE_DIR)/part-goroutine.txt $(CHAOS2_SMOKE_DIR)/part-step.txt
+	grep -q 'partitioned=103' $(CHAOS2_SMOKE_DIR)/part-goroutine.txt
+	set -e; for eng in goroutine step; do \
+		out=$(CHAOS2_SMOKE_DIR)/rest-$$eng; \
+		$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_SUM_ARGS) -engine $$eng \
+			-faults 'seed:7;crash:5@2;restart:5@4' > $$out.out 2>&1 || { cat $$out.out; exit 1; }; \
+		grep -v '^graph=' $$out.out > $$out.txt; \
+	done
 	cmp $(CHAOS2_SMOKE_DIR)/rest-goroutine.txt $(CHAOS2_SMOKE_DIR)/rest-step.txt
-	grep -q 'partitioned=95' $(CHAOS2_SMOKE_DIR)/part-goroutine.txt
 	grep -q 'restarted=2' $(CHAOS2_SMOKE_DIR)/rest-goroutine.txt
 
 ## ci: the gates .github/workflows/ci.yml runs (its race job re-runs the

@@ -117,26 +117,17 @@ func BenchmarkMST256(b *testing.B) {
 	b.ReportMetric(float64(rounds), "rounds")
 }
 
-// Engine-comparison benchmarks (ISSUE 1 acceptance): round throughput of the
-// same fixed-round relay protocol — every node sends one message per round
-// for relayRounds rounds — on the goroutine engine, the step engine through
-// the goroutine adapter, and the step engine natively. At n = 10⁵ the native
+// Engine-comparison benchmarks: round throughput of the same fixed-round
+// relay machine — every node sends one message per round for relayRounds
+// rounds — on the goroutine engine and on the step engine. At n = 10⁵ the
 // step engine sustains well over 3× the goroutine engine's round throughput
-// (measured ~6× on one core; the gap widens with GOMAXPROCS since the
-// goroutine engine's scheduler loop is serial).
+// (the gap widens with GOMAXPROCS since the goroutine engine's scheduler
+// loop is serial).
 
 const (
 	relayNodes  = 100_000
 	relayRounds = 20
 )
-
-func relayProgram(ctx *sim.Ctx) error {
-	for r := 0; r < relayRounds; r++ {
-		ctx.Send(0, r)
-		ctx.Tick()
-	}
-	return nil
-}
 
 type relayMachine struct{ c sim.Node }
 
@@ -182,13 +173,7 @@ func benchRelay(b *testing.B, run func(g *graph.Graph) (*sim.Result, error)) {
 
 func BenchmarkEngineRelayGoroutine100k(b *testing.B) {
 	benchRelay(b, func(g *graph.Graph) (*sim.Result, error) {
-		return sim.Run(g, relayProgram, sim.WithEngine(sim.EngineGoroutine))
-	})
-}
-
-func BenchmarkEngineRelayStepAdapter100k(b *testing.B) {
-	benchRelay(b, func(g *graph.Graph) (*sim.Result, error) {
-		return sim.Run(g, relayProgram, sim.WithEngine(sim.EngineStep))
+		return sim.RunStep(g, relayStepProgram(), sim.WithEngine(sim.EngineGoroutine))
 	})
 }
 

@@ -76,14 +76,6 @@ func main() {
 
 const relayRounds = 20
 
-func relayProgram(ctx *sim.Ctx) error {
-	for r := 0; r < relayRounds; r++ {
-		ctx.Send(0, r)
-		ctx.Tick()
-	}
-	return nil
-}
-
 type relayMachine struct{ c sim.Node }
 
 func (m *relayMachine) Step(in sim.Input) bool {
@@ -145,9 +137,9 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	// Round-throughput rows: the same fixed-round relay protocol on the
-	// goroutine engine, the step engine through the adapter, and natively
-	// at several worker counts (the sense-reversing barrier is what makes
+	// Round-throughput rows: the same fixed-round relay machine on the
+	// goroutine engine and on the step engine at several worker counts
+	// (the sense-reversing barrier is what makes
 	// workers >1 worthwhile; on a single-core host the extra rows measure
 	// its oversubscription overhead instead).
 	relay := func(name string, workers int, run func() (*sim.Result, error)) error {
@@ -172,17 +164,7 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 	if err := relay("relay/goroutine", 0, func() (*sim.Result, error) {
-		return sim.Run(ring, relayProgram, sim.WithEngine(sim.EngineGoroutine))
-	}); err != nil {
-		return err
-	}
-	if err := relay("relay/step-adapter", 1, func() (*sim.Result, error) {
-		return sim.Run(ring, relayProgram, sim.WithEngine(sim.EngineStep), sim.WithWorkers(1))
-	}); err != nil {
-		return err
-	}
-	if err := relay("relay/step-adapter-w4", 4, func() (*sim.Result, error) {
-		return sim.Run(ring, relayProgram, sim.WithEngine(sim.EngineStep), sim.WithWorkers(4))
+		return sim.RunStep(ring, relayStepProgram(), sim.WithEngine(sim.EngineGoroutine))
 	}); err != nil {
 		return err
 	}

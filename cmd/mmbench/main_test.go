@@ -36,8 +36,6 @@ func TestBenchReportShape(t *testing.T) {
 	rep, _ := runTiny(t)
 	want := map[string]bool{
 		"relay/goroutine":               false,
-		"relay/step-adapter":            false,
-		"relay/step-adapter-w4":         false,
 		"relay/step-native":             false,
 		"relay/step-native-w4":          false,
 		"relay/step-native-w8":          false,

@@ -3,11 +3,11 @@
 // partition with channel probes and computes n exactly; the Greenberg–Ladner
 // protocol estimates n within a constant factor in O(log n) slots.
 //
-// This example runs on the step engine end to end: the §7.3/§7.4 protocols
-// execute through the engine's goroutine adapter (set as the process
-// default below), and the finale runs the native step-machine census on a
-// network three orders of magnitude larger than the goroutine engine could
-// schedule — the million-node regime the engine was built for.
+// This example runs on the step engine end to end (set as the process
+// default below): the §7.3/§7.4 protocols run as step machines, and the
+// finale runs the step-machine census on a network three orders of
+// magnitude larger than the goroutine engine could schedule — the
+// million-node regime the engine was built for.
 package main
 
 import (

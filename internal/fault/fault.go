@@ -4,8 +4,7 @@
 // Rules — crash-stop a node, drop/delay/duplicate messages on a link, jam
 // the multiaccess channel — compiled by the sim engines into per-round
 // injection hooks applied at their single delivery and slot-resolution
-// choke points, so every existing Program and Machine runs under faults
-// unmodified.
+// choke points, so every existing Machine runs under faults unmodified.
 //
 // # Round convention
 //

@@ -31,7 +31,7 @@ func exampleTraceBytes(t *testing.T) []byte {
 	if *updateTraceFixture {
 		g, plan := testGraphAndPlan(t)
 		o := New(Options{Trace: true})
-		if _, err := sim.Run(g, relayProgram(40),
+		if _, err := sim.RunStep(g, relayProgram(40),
 			sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o),
 			sim.WithEngine(sim.EngineStep), sim.WithWorkers(2)); err != nil {
 			t.Fatal(err)

@@ -30,28 +30,37 @@ import (
 // channel (success when they coincide, collision otherwise), and the fault
 // plan below crashes node 3, jams a window, and drops/delays/duplicates
 // probabilistically.
-func relayProgram(rounds int) sim.Program {
-	return func(c *sim.Ctx) error {
-		n := c.N()
-		next := graph.NodeID((int(c.ID()) + 1) % n)
-		sum := 0
-		for r := 1; r <= rounds; r++ {
-			c.SendTo(next, r)
-			if int(c.ID()) == r%n || int(c.ID()) == (3*r)%n {
-				c.Broadcast(r)
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				sum += m.Payload.(int)
-			}
-			if in.Slot.State == sim.SlotSuccess {
-				sum += 1000
-			}
-		}
-		c.SetResult(sum)
-		return nil
+func relayProgram(rounds int) sim.StepProgram {
+	return func(c sim.Node) sim.Machine {
+		return &relayMachine{c: c, rounds: rounds}
 	}
 }
+
+type relayMachine struct {
+	c           sim.Node
+	rounds, sum int
+}
+
+func (m *relayMachine) Step(in sim.Input) bool {
+	for _, msg := range in.Msgs {
+		m.sum += msg.Payload.(int)
+	}
+	if in.Slot.State == sim.SlotSuccess {
+		m.sum += 1000
+	}
+	if in.Round == m.rounds {
+		return true
+	}
+	// Round r's sends carry r+1, the 1-based count of the send.
+	r, n := in.Round+1, m.c.N()
+	m.c.SendTo(graph.NodeID((int(m.c.ID())+1)%n), r)
+	if int(m.c.ID()) == r%n || int(m.c.ID()) == (3*r)%n {
+		m.c.Broadcast(r)
+	}
+	return false
+}
+
+func (m *relayMachine) Result() any { return m.sum }
 
 const testPlan = "seed:5;crash:3@8;jam:2-20/p0.4;delay:*@3-30/p0.25/d2;dup:*@5-25/p0.2/d3;drop:*@6-18/p0.1"
 
@@ -102,7 +111,7 @@ func TestSeriesSumsMatchMetricsUnderFaults(t *testing.T) {
 	prog := relayProgram(40)
 
 	// Unobserved baseline: the transparency reference.
-	base, err := sim.Run(g, prog, sim.WithSeed(7), sim.WithFaults(plan))
+	base, err := sim.RunStep(g, prog, sim.WithSeed(7), sim.WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +134,7 @@ func TestSeriesSumsMatchMetricsUnderFaults(t *testing.T) {
 				var buf bytes.Buffer
 				o := New(Options{Series: &buf, SeriesEvery: every, Trace: true, PprofLabels: true})
 				opts := append([]sim.Option{sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o)}, ec.opts...)
-				res, err := sim.Run(g, prog, opts...)
+				res, err := sim.RunStep(g, prog, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -277,7 +286,7 @@ func validateChromeTrace(t *testing.T, r io.Reader, wantShards int) map[string]i
 func TestTraceChromeJSON(t *testing.T) {
 	g, plan := testGraphAndPlan(t)
 	o := New(Options{Trace: true})
-	_, err := sim.Run(g, relayProgram(40),
+	_, err := sim.RunStep(g, relayProgram(40),
 		sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o),
 		sim.WithEngine(sim.EngineStep), sim.WithWorkers(4))
 	if err != nil {
@@ -333,7 +342,7 @@ func TestMetricsHTTP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	res, err := sim.Run(g, relayProgram(40),
+	res, err := sim.RunStep(g, relayProgram(40),
 		sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o))
 	if err != nil {
 		t.Fatal(err)

@@ -2,33 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 )
-
-// runBarrierBoth runs a barrier machine program on both engines — the step
-// engine parks passive nodes until the pulse, the goroutine engine steps
-// every node every round — and requires identical results and metrics.
-func runBarrierBoth(t *testing.T, g graph.Topology, prog StepProgram) *Result {
-	t.Helper()
-	var out [2]*Result
-	for i, e := range []Engine{EngineGoroutine, EngineStep} {
-		res, err := RunStep(g, prog, WithEngine(e))
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
-		}
-		out[i] = res
-	}
-	if !reflect.DeepEqual(out[0].Results, out[1].Results) {
-		t.Errorf("results differ:\n goroutine %v\n step      %v", out[0].Results, out[1].Results)
-	}
-	if out[0].Metrics != out[1].Metrics {
-		t.Errorf("metrics differ:\n goroutine %+v\n step      %+v", out[0].Metrics, out[1].Metrics)
-	}
-	return out[1]
-}
 
 // TestBarrierConvergecast runs a convergecast on a path rooted at node 0
 // under the busy-tone barrier: every node learns the step ended in the same
@@ -39,7 +16,7 @@ func TestBarrierConvergecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runBarrierBoth(t, g, func(c Node) Machine {
+	res := mustRunEngines(t, g, func(c Node) Machine {
 		// Path convergecast: node n-1 starts; each node forwards a counter
 		// toward node 0.
 		b := NewStepBarrier(c)
@@ -93,7 +70,7 @@ func TestBarrierAllPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runBarrierBoth(t, g, func(c Node) Machine {
+	res := mustRunEngines(t, g, func(c Node) Machine {
 		b := NewStepBarrier(c)
 		return &stepFuncs{step: func(in Input) bool {
 			if !b.Step(in, func(Input) bool { return false }) {
@@ -118,7 +95,7 @@ func TestBarrierSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runBarrierBoth(t, g, func(c Node) Machine {
+	res := mustRunEngines(t, g, func(c Node) Machine {
 		b := NewStepBarrier(c)
 		var rounds []int
 		work := int(c.ID()) % 3 // node-dependent busy duration
@@ -157,7 +134,7 @@ func TestBarrierForcesBusyOnSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runBarrierBoth(t, g, func(c Node) Machine {
+	mustRunEngines(t, g, func(c Node) Machine {
 		b := NewStepBarrier(c)
 		gotPayload := false
 		first := true

@@ -18,10 +18,10 @@ package sim
 // run checkpointed at the same round produces byte-identical checkpoints at
 // any worker count, which is what cmd/mmreplay's bisector compares.
 //
-// What cannot checkpoint: the goroutine engine and the goroutine-program
-// adapter (blocked goroutine stacks are not serializable — both return
-// ErrNotCheckpointable), and native machines that neither implement
-// Snapshotter nor gob-encode. Resume always runs the step engine.
+// What cannot checkpoint: the goroutine engine (blocked goroutine stacks
+// are not serializable — it returns ErrNotCheckpointable), and machines
+// that neither implement Snapshotter nor gob-encode. Resume always runs the
+// step engine.
 //
 // # Wire format (version 1)
 //
@@ -53,10 +53,9 @@ const CheckpointVersion = 1
 
 const checkpointMagic = "MMCP"
 
-// ErrNotCheckpointable is returned when checkpointing is requested of an
-// execution mode that cannot snapshot its nodes: the goroutine engine and
-// the goroutine-program adapter (their node state lives in goroutine
-// stacks). Run native step programs on the step engine to checkpoint.
+// ErrNotCheckpointable is returned when checkpointing is requested of the
+// goroutine engine, whose node state lives in goroutine stacks. Run the
+// step engine to checkpoint.
 var ErrNotCheckpointable = errors.New("sim: goroutine programs cannot be checkpointed; use a native step program on the step engine")
 
 // Snapshotter is the optional interface a Machine implements to make its
@@ -86,8 +85,8 @@ type CheckpointSpec struct {
 }
 
 // WithCheckpoints captures checkpoints during this run per the spec. Only
-// the step engine running native step programs supports capture; other
-// modes fail with ErrNotCheckpointable. Capture happens at round
+// the step engine supports capture; the goroutine engine fails with
+// ErrNotCheckpointable. Capture happens at round
 // boundaries, coordinator-side, and never alters the run's transcript.
 func WithCheckpoints(spec *CheckpointSpec) Option {
 	return func(c *config) { c.ckpt = spec }
@@ -197,7 +196,7 @@ type PendingCheckpoint struct {
 type Checkpoint struct {
 	Round     int // completed rounds at capture
 	N         int
-	Graph     uint64 // adjacency fingerprint (topologyDigest); 0 in hand-built checkpoints
+	Graph     uint64 // adjacency fingerprint (topologyDigest)
 	Seed      int64
 	Plan      string // fault plan DSL ("" = fault-free)
 	MaxRounds int
@@ -437,7 +436,7 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 	if len(cp.Nodes) != n {
 		return fmt.Errorf("sim: checkpoint has %d node records, want %d", len(cp.Nodes), n)
 	}
-	if cp.Graph != 0 && cp.Graph != e.graphDigest() {
+	if cp.Graph != e.graphDigest() {
 		return fmt.Errorf("sim: checkpoint graph digest %016x does not match this topology's %016x — resume needs the exact graph (same generator, flags, and seed) the checkpoint was captured from", cp.Graph, e.graphDigest())
 	}
 	if cp.Slot.State == SlotSuccess && (int(cp.Slot.From) < 0 || int(cp.Slot.From) >= n) {
@@ -486,17 +485,8 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 			sd.rngDraws[v-sd.lo] = ns.RNGDraws
 		}
 		if !ns.Halted {
-			switch {
-			case ns.HasState:
-				snap, ok := e.machines[v].(Snapshotter)
-				if !ok {
-					return fmt.Errorf("sim: checkpoint has Snapshotter state for node %d but machine %T does not implement it", v, e.machines[v])
-				}
-				snap.RestoreState(ns.State)
-			case len(ns.GobState) > 0:
-				if err := gob.NewDecoder(bytes.NewReader(ns.GobState)).Decode(e.machines[v]); err != nil {
-					return fmt.Errorf("sim: restore machine %T of node %d: %w", e.machines[v], v, err)
-				}
+			if err := restoreMachine(e.machines[v], v, ns); err != nil {
+				return err
 			}
 		}
 		if ns.Scheduled && !ns.Halted {
@@ -543,6 +533,30 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 			to: p.To, from: p.From, edgeID: int32(p.EdgeID), payload: p.Payload,
 		})
 		sd.pendingN++
+	}
+	return nil
+}
+
+// restoreMachine loads one live node's machine state. A Snapshotter that
+// panics on state it does not recognize — a damaged checkpoint, or one
+// captured from another program — fails the resume instead of crashing it.
+func restoreMachine(m Machine, v int, ns *NodeCheckpoint) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: restore machine %T of node %d panicked: %v", m, v, r)
+		}
+	}()
+	switch {
+	case ns.HasState:
+		snap, ok := m.(Snapshotter)
+		if !ok {
+			return fmt.Errorf("sim: checkpoint has Snapshotter state for node %d but machine %T does not implement it", v, m)
+		}
+		snap.RestoreState(ns.State)
+	case len(ns.GobState) > 0:
+		if err := gob.NewDecoder(bytes.NewReader(ns.GobState)).Decode(m); err != nil {
+			return fmt.Errorf("sim: restore machine %T of node %d: %w", m, v, err)
+		}
 	}
 	return nil
 }

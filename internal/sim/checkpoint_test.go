@@ -3,11 +3,13 @@ package sim
 // checkpoint_test.go verifies the checkpoint/restore contract: capture is a
 // pure observation (the checkpointed run's transcript is unchanged), resumed
 // runs stitch byte-identically onto the original's transcript prefix,
-// checkpoints are byte-portable across worker counts, and the modes that
-// cannot snapshot (goroutine engine, step adapter) refuse cleanly.
+// checkpoints are byte-portable across worker counts, and the runs that
+// cannot snapshot (the goroutine engine, closure-state machines) refuse
+// cleanly.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"reflect"
@@ -354,16 +356,7 @@ func (m *gobFallbackMachine) Result() any { return m.Acc }
 func TestCheckpointRejectedModes(t *testing.T) {
 	g := ring(t, 4)
 	spec := &CheckpointSpec{Every: 2, Sink: func(*Checkpoint) error { return nil }}
-	prog := func(c *Ctx) error {
-		c.Tick()
-		return nil
-	}
-	for _, eng := range []Engine{EngineGoroutine, EngineStep} {
-		if _, err := Run(g, prog, WithEngine(eng), WithCheckpoints(spec)); !errors.Is(err, ErrNotCheckpointable) {
-			t.Errorf("engine %v with checkpoints: err = %v, want ErrNotCheckpointable", eng, err)
-		}
-	}
-	// Checkpointing is a step-engine capability, native machines included.
+	// Checkpointing is a step-engine capability.
 	if _, err := RunStep(g, ckptProgram(4), WithEngine(EngineGoroutine), WithCheckpoints(spec)); !errors.Is(err, ErrNotCheckpointable) {
 		t.Errorf("machine on the goroutine engine with checkpoints: err = %v, want ErrNotCheckpointable", err)
 	}
@@ -448,6 +441,7 @@ func TestResumeValidatesGraph(t *testing.T) {
 		}},
 		{"pending due at capture", func(cp *Checkpoint) { cp.Pending = append(cp.Pending, pendingFrom(cp, 0)) }},
 		{"slot writer", func(cp *Checkpoint) { cp.Slot = SlotCheckpoint{State: SlotSuccess, From: 8, Payload: ckptToken{}} }},
+		{"zero digest", func(cp *Checkpoint) { cp.Graph = 0 }},
 	} {
 		cp, err := ReadCheckpoint(bytes.NewReader(valid.Bytes()))
 		if err != nil {
@@ -482,4 +476,30 @@ func pendingFrom(cp *Checkpoint, after int) PendingCheckpoint {
 	ib := cp.Inboxes[0]
 	m := ib.Msgs[0]
 	return PendingCheckpoint{Due: cp.Round + after, To: ib.Node, From: m.From, EdgeID: m.EdgeID, Payload: m.Payload}
+}
+
+// FuzzReadCheckpoint feeds mutated MMCP bodies through ReadCheckpoint and
+// Resume. Each input is a gob body, framed with the magic, version, length,
+// and a freshly computed crc32, so mutations reach gob decoding and
+// restore's semantic checks instead of dying at the checksum. The contract:
+// an error or a result, never a panic. The committed corpus under
+// testdata/fuzz/FuzzReadCheckpoint holds real captures of ckptProgram(10)
+// on this 8-ring with seed 2 at rounds 3 and 6, fault-free (capture-r*) and
+// under seed:3;delay:*@2-8/d3/p0.5 with 10 and 15 messages pending
+// (capture-delay-r*), plus every crasher the fuzzer has found.
+func FuzzReadCheckpoint(f *testing.F) {
+	g := ring(f, 8)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		framed := append([]byte(checkpointMagic), CheckpointVersion)
+		framed = binary.AppendUvarint(framed, uint64(len(body)))
+		framed = append(append(framed, body...), crcOf(body)...)
+		cp, err := ReadCheckpoint(bytes.NewReader(framed))
+		if err != nil {
+			return
+		}
+		// A mutated round budget may be astronomically large; the resumed
+		// run only has to start, not to spin to it.
+		cp.MaxRounds = min(cp.MaxRounds, cp.Round+64)
+		_, _ = Resume(g, ckptProgram(10), cp, WithWorkers(2))
+	})
 }

@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,38 +17,52 @@ import (
 	"repro/internal/graph"
 )
 
-// faultEngines runs the program on the goroutine engine and on the step
-// engine with 1 and 4 workers, asserts the three transcripts are identical,
-// and returns the common result.
-func faultEngines(t *testing.T, g *graph.Graph, program Program, opts ...Option) *Result {
-	t.Helper()
-	type run struct {
-		name string
-		opt  []Option
-	}
-	runs := []run{
-		{"goroutine", []Option{WithEngine(EngineGoroutine)}},
-		{"step-w1", []Option{WithEngine(EngineStep), WithWorkers(1)}},
-		{"step-w4", []Option{WithEngine(EngineStep), WithWorkers(4)}},
-	}
-	var ref *Result
-	for _, r := range runs {
-		res, err := Run(g, program, append(append([]Option{}, opts...), r.opt...)...)
-		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(ref.Results, res.Results) {
-			t.Fatalf("%s results diverge:\n ref: %#v\n got: %#v", r.name, ref.Results, res.Results)
-		}
-		if ref.Metrics != res.Metrics {
-			t.Fatalf("%s metrics diverge:\n ref: %+v\n got: %+v", r.name, ref.Metrics, res.Metrics)
+// relayRounds runs for the given number of rounds on a two-node path:
+// node 0 sends the round number to node 1 every round, and node 1's result
+// is every payload it received, in arrival order.
+func relayRounds(rounds int) StepProgram {
+	return func(c Node) Machine {
+		var got []int
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					got = append(got, m.Payload.(int))
+				}
+				if in.Round == rounds {
+					return true
+				}
+				if c.ID() == 0 {
+					c.SendTo(1, in.Round)
+				}
+				return false
+			},
+			result: func() any { return got },
 		}
 	}
-	return ref
+}
+
+// arrivals runs for the given number of rounds on a two-node path: node 0
+// sends "m<round>" to node 1 in each of the listed rounds, and node 1's
+// result is every arrival as "payload@round".
+func arrivals(rounds int, sendAt ...int) StepProgram {
+	return func(c Node) Machine {
+		var got []string
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					got = append(got, fmt.Sprintf("%s@%d", m.Payload, in.Round))
+				}
+				if in.Round == rounds {
+					return true
+				}
+				if c.ID() == 0 && slices.Contains(sendAt, in.Round) {
+					c.SendTo(1, fmt.Sprintf("m%d", in.Round))
+				}
+				return false
+			},
+			result: func() any { return got },
+		}
+	}
 }
 
 // TestFaultCrashStop checks the crash boundary: the victim's sends from its
@@ -62,28 +77,30 @@ func TestFaultCrashStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c Node) Machine {
 		var got []int
-		for r := 1; r <= 8; r++ {
-			switch c.ID() {
-			case 2:
-				c.SendTo(1, c.Round())
-			case 1:
-				c.SendTo(2, c.Round())
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				if m.From == 2 {
-					got = append(got, m.Payload.(int))
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					if m.From == 2 {
+						got = append(got, m.Payload.(int))
+					}
 				}
-			}
+				if in.Round == 8 {
+					return true
+				}
+				switch c.ID() {
+				case 2:
+					c.SendTo(1, in.Round)
+				case 1:
+					c.SendTo(2, in.Round)
+				}
+				return false
+			},
+			result: func() any { return got },
 		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Node 2's last compute round is 4: values 0..4 arrive at node 1.
 	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(res.Results[1], want) {
 		t.Errorf("node 1 received %v, want %v", res.Results[1], want)
@@ -107,23 +124,8 @@ func TestFaultLinkDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []int
-		for r := 1; r <= 8; r++ {
-			if c.ID() == 0 {
-				c.SendTo(1, c.Round())
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, m.Payload.(int))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	prog := relayRounds(8)
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Values 2, 3, 4 would arrive at rounds 3, 4, 5 — the drop window.
 	if want := []int{0, 1, 5, 6, 7}; !reflect.DeepEqual(res.Results[1], want) {
 		t.Errorf("node 1 received %v, want %v", res.Results[1], want)
@@ -146,23 +148,8 @@ func TestFaultDelayAndDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []string
-		for r := 1; r <= 8; r++ {
-			if c.ID() == 0 && c.Round() < 2 {
-				c.SendTo(1, fmt.Sprintf("m%d", c.Round()))
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, fmt.Sprintf("%s@%d", m.Payload, in.Round))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	prog := arrivals(8, 0, 1)
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan))
 	// m0 (normal arrival 1) is delayed 3 rounds to 4; m1 (arrival 2) is
 	// duplicated: delivered at 2 and again at 3.
 	if want := []string{"m1@2", "m1@3", "m0@4"}; !reflect.DeepEqual(res.Results[1], want) {
@@ -185,19 +172,25 @@ func TestFaultJam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c Node) Machine {
 		var states []SlotState
-		for r := 1; r <= 5; r++ {
-			if c.ID() == 0 {
-				c.Broadcast("x")
-			}
-			in := c.Tick()
-			states = append(states, in.Slot.State)
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round > 0 {
+					states = append(states, in.Slot.State)
+				}
+				if in.Round == 5 {
+					return true
+				}
+				if c.ID() == 0 {
+					c.Broadcast("x")
+				}
+				return false
+			},
+			result: func() any { return states },
 		}
-		c.SetResult(states)
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan))
 	want := []SlotState{SlotSuccess, SlotSuccess, SlotCollision, SlotSuccess, SlotSuccess}
 	for v, r := range res.Results {
 		if !reflect.DeepEqual(r, want) {
@@ -221,27 +214,29 @@ func TestFaultDefaultFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		c.SendTo(1-c.ID(), "hi")
-		in := c.Tick()
-		c.SetResult(len(in.Msgs))
-		return nil
+	prog := func(c Node) Machine {
+		got := 0
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == 0 {
+					c.SendTo(1-c.ID(), "hi")
+					return false
+				}
+				got = len(in.Msgs)
+				return true
+			},
+			result: func() any { return got },
+		}
 	}
 	old := DefaultFaults
 	DefaultFaults = plan
 	defer func() { DefaultFaults = old }()
 
-	res, err := Run(g, prog, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRunEngines(t, g, prog, WithSeed(1))
 	if res.Results[0] != 0 || res.Results[1] != 0 || res.Metrics.DroppedFault != 2 {
 		t.Errorf("default plan not applied: %v, %+v", res.Results, res.Metrics)
 	}
-	res, err = Run(g, prog, WithSeed(1), WithFaults(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = mustRunEngines(t, g, prog, WithSeed(1), WithFaults(nil))
 	if res.Results[0] != 1 || res.Results[1] != 1 || res.Metrics.DroppedFault != 0 {
 		t.Errorf("WithFaults(nil) did not override the default: %v, %+v", res.Results, res.Metrics)
 	}
@@ -315,35 +310,41 @@ func TestFaultStressEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c Node) Machine {
 		sum := uint64(0)
 		mix := func(vals ...uint64) {
 			for _, v := range vals {
 				sum = sum*0x100000001b3 + v
 			}
 		}
-		for r := 1; r <= 12; r++ {
-			for l := 0; l < c.Degree(); l++ {
-				if c.Rand().Intn(3) == 0 {
-					c.Send(l, int(c.Rand().Intn(1000)))
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round > 0 {
+					mix(uint64(in.Round), uint64(in.Slot.State), uint64(in.Slot.From))
+					if p, ok := in.Slot.Payload.(int); ok {
+						mix(uint64(p))
+					}
+					for _, m := range in.Msgs {
+						mix(uint64(m.From), uint64(m.EdgeID), uint64(m.Payload.(int)))
+					}
 				}
-			}
-			if c.Rand().Intn(5) == 0 {
-				c.Broadcast(int(c.ID())*100 + c.Round())
-			}
-			in := c.Tick()
-			mix(uint64(in.Round), uint64(in.Slot.State), uint64(in.Slot.From))
-			if p, ok := in.Slot.Payload.(int); ok {
-				mix(uint64(p))
-			}
-			for _, m := range in.Msgs {
-				mix(uint64(m.From), uint64(m.EdgeID), uint64(m.Payload.(int)))
-			}
+				if in.Round == 12 {
+					return true
+				}
+				for l := 0; l < c.Degree(); l++ {
+					if c.Rand().Intn(3) == 0 {
+						c.Send(l, int(c.Rand().Intn(1000)))
+					}
+				}
+				if c.Rand().Intn(5) == 0 {
+					c.Broadcast(int(c.ID())*100 + in.Round)
+				}
+				return false
+			},
+			result: func() any { return sum },
 		}
-		c.SetResult(sum)
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(9), WithFaults(plan))
+	res := mustRunEngines(t, g, prog, WithSeed(9), WithFaults(plan))
 	if res.Metrics.Crashed != 2 {
 		t.Errorf("Crashed = %d, want 2", res.Metrics.Crashed)
 	}
@@ -369,40 +370,44 @@ func TestFaultPartitionWindowHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c Node) Machine {
 		var from0, from2 []int
 		var heard []string
-		for r := 1; r <= 8; r++ {
-			switch c.ID() {
-			case 0, 2:
-				c.SendTo(1, c.Round())
-			case 1:
-				c.SendTo(0, c.Round())
-				if c.Round() == 3 { // mid-partition broadcast
-					c.Broadcast("cut?")
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					if m.From == 0 {
+						from0 = append(from0, m.Payload.(int))
+					} else {
+						from2 = append(from2, m.Payload.(int))
+					}
 				}
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				if m.From == 0 {
-					from0 = append(from0, m.Payload.(int))
-				} else {
-					from2 = append(from2, m.Payload.(int))
+				if s, ok := in.Slot.Payload.(string); ok && in.Slot.State == SlotSuccess {
+					heard = append(heard, fmt.Sprintf("%s@%d", s, in.Round))
 				}
-			}
-			if s, ok := in.Slot.Payload.(string); ok && in.Slot.State == SlotSuccess {
-				heard = append(heard, fmt.Sprintf("%s@%d", s, in.Round))
-			}
+				if in.Round == 8 {
+					return true
+				}
+				switch c.ID() {
+				case 0, 2:
+					c.SendTo(1, in.Round)
+				case 1:
+					c.SendTo(0, in.Round)
+					if in.Round == 3 { // mid-partition broadcast
+						c.Broadcast("cut?")
+					}
+				}
+				return false
+			},
+			result: func() any {
+				if c.ID() == 1 {
+					return fmt.Sprintf("%v %v", from0, from2)
+				}
+				return fmt.Sprintf("%v", heard)
+			},
 		}
-		switch c.ID() {
-		case 1:
-			c.SetResult(fmt.Sprintf("%v %v", from0, from2))
-		default:
-			c.SetResult(fmt.Sprintf("%v", heard))
-		}
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Sends of compute rounds 2..4 would arrive at 3..5 — the window.
 	if want := "[0 1 5 6 7] [0 1 5 6 7]"; res.Results[1] != want {
 		t.Errorf("node 1 received %q, want %q", res.Results[1], want)
@@ -436,38 +441,41 @@ func TestFaultRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c Node) Machine {
 		if c.ID() == 2 {
-			for r := 1; r <= 4; r++ {
-				if c.Round() == 0 {
-					c.SendTo(1, c.Rand().Int63()) // one stream probe per incarnation
-				} else {
-					c.SendTo(1, c.Round())
-				}
-				c.Tick()
+			return &stepFuncs{
+				step: func(in Input) bool {
+					switch in.Round {
+					case 0:
+						c.SendTo(1, c.Rand().Int63()) // one stream probe per incarnation
+					case 4:
+						return true
+					default:
+						c.SendTo(1, in.Round)
+					}
+					return false
+				},
+				result: func() any { return "done" },
 			}
-			c.SetResult("done")
-			return nil
 		}
 		var vals []string
 		var rngs []int64
-		for r := 1; r <= 12; r++ {
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				switch p := m.Payload.(type) {
-				case int64:
-					rngs = append(rngs, p)
-				case int:
-					vals = append(vals, fmt.Sprintf("%d@%d", p, in.Round))
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					switch p := m.Payload.(type) {
+					case int64:
+						rngs = append(rngs, p)
+					case int:
+						vals = append(vals, fmt.Sprintf("%d@%d", p, in.Round))
+					}
 				}
-			}
+				return in.Round == 12
+			},
+			result: func() any { return fmt.Sprintf("%v %v", vals, rngs) },
 		}
-		if c.ID() == 1 {
-			c.SetResult(fmt.Sprintf("%v %v", vals, rngs))
-		}
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Incarnation 0 completes local rounds 0..2 (sends arrive at global
 	// rounds 1..3), then crashes. The restart at round 6 re-runs the
 	// program: local rounds 0..3 land at global 7..10. Each incarnation's
@@ -496,20 +504,20 @@ func TestFaultRestart(t *testing.T) {
 // TestMachineRestartOnBothEngines: a restart revival re-runs a StepProgram's
 // init hook on either engine — in node order on the scheduler, so the hook's
 // unsynchronized bookkeeping is race-free — with the incarnation's RNG
-// stream, and an init hook that fails on revival aborts the run with the
-// same error on both engines.
+// stream, and an init hook that fails or sends on revival aborts the run
+// with the same error on both engines.
 func TestMachineRestartOnBothEngines(t *testing.T) {
 	g := path(t, 3)
 	plan, err := fault.Parse("crash:2@3;restart:2@6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(refuseRevival bool) StepProgram {
+	prog := func(revive func(c Node, incarnation int)) StepProgram {
 		built := map[graph.NodeID]int{}
 		return func(c Node) Machine {
 			built[c.ID()]++
-			if refuseRevival && built[c.ID()] > 1 {
-				c.Failf("revival %d refused", built[c.ID()]-1)
+			if revive != nil && built[c.ID()] > 1 {
+				revive(c, built[c.ID()]-1)
 			}
 			probe := c.Rand().Int63()
 			var heard []int64
@@ -529,7 +537,7 @@ func TestMachineRestartOnBothEngines(t *testing.T) {
 	}
 	var results [2]*Result
 	for i, e := range []Engine{EngineGoroutine, EngineStep} {
-		res, err := RunStep(g, prog(false), WithFaults(plan), WithEngine(e))
+		res, err := RunStep(g, prog(nil), WithFaults(plan), WithEngine(e))
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
@@ -537,9 +545,16 @@ func TestMachineRestartOnBothEngines(t *testing.T) {
 			t.Errorf("%v: Restarted = %d, want 1", e, res.Metrics.Restarted)
 		}
 		results[i] = res
-		const want = "sim: node 2: revival 1 refused"
-		if _, err := RunStep(g, prog(true), WithFaults(plan), WithEngine(e)); err == nil || err.Error() != want {
-			t.Errorf("%v: refused revival: err = %v, want %q", e, err, want)
+		for _, refusal := range []struct {
+			revive func(Node, int)
+			want   string
+		}{
+			{func(c Node, i int) { c.Failf("revival %d refused", i) }, "sim: node 2: revival 1 refused"},
+			{func(c Node, _ int) { c.SendTo(1, int64(0)) }, "sim: step program for node 2 sent or wrote the channel during init"},
+		} {
+			if _, err := RunStep(g, prog(refusal.revive), WithFaults(plan), WithEngine(e)); err == nil || err.Error() != refusal.want {
+				t.Errorf("%v: refused revival: err = %v, want %q", e, err, refusal.want)
+			}
 		}
 	}
 	if !reflect.DeepEqual(results[0].Results, results[1].Results) || results[0].Metrics != results[1].Metrics {
@@ -562,23 +577,8 @@ func TestFaultRecurringWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []int
-		for r := 1; r <= 12; r++ {
-			if c.ID() == 0 {
-				c.SendTo(1, c.Round())
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, m.Payload.(int))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	prog := relayRounds(12)
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Arrival rounds 2,3 then every 4: 2,3,6,7,10,11 dropped — the sends
 	// of compute rounds 1,2,5,6,9,10.
 	if want := []int{0, 3, 4, 7, 8, 11}; !reflect.DeepEqual(res.Results[1], want) {
@@ -601,8 +601,7 @@ func TestFaultSkewRequiresSynchronizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noop := func(c *Ctx) error { c.Tick(); return nil }
-	_, err = Run(g, noop, WithSeed(1), WithFaults(plan))
+	_, err = runEngines(t, g, relayRounds(1), WithSeed(1), WithFaults(plan))
 	if err == nil {
 		t.Fatal("skew plan accepted without a synchronizer")
 	}
@@ -624,23 +623,8 @@ func TestFaultSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []string
-		for r := 1; r <= 10; r++ {
-			if c.ID() == 0 && (c.Round() == 0 || c.Round() == 4) {
-				c.SendTo(1, fmt.Sprintf("m%d", c.Round()))
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, fmt.Sprintf("%s@%d", m.Payload, in.Round))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan), WithSynchronizer())
+	prog := arrivals(10, 0, 4)
+	res := mustRunEngines(t, g, prog, WithSeed(1), WithFaults(plan), WithSynchronizer())
 	// m0 (normal arrival 1, inside the window) slips 3 rounds to 4; m4
 	// (arrival 5, after the window) is on time.
 	if want := []string{"m0@4", "m4@5"}; !reflect.DeepEqual(res.Results[1], want) {

@@ -11,34 +11,29 @@
 //
 // # Execution models
 //
-// The package offers two engines over the same model:
+// Every protocol is a StepProgram: an init hook that builds one Machine per
+// node, stepped once per round by RunStep on either of two engines:
 //
-//   - EngineGoroutine (the historical default) runs each node's Program as
-//     a goroutine against a blocking Ctx: Tick commits the current round
-//     and blocks until a central scheduler delivers the next round's input.
-//     Convenient — programs read as straight-line code — but every node
-//     costs two channel handoffs per round, which caps practical runs at
-//     roughly 10⁴–10⁵ nodes.
+//   - EngineGoroutine runs each node's machine on its own goroutine against
+//     a blocking Ctx, resumed round by round from a central scheduler, and
+//     steps every node every round. Every node costs two channel handoffs
+//     per round, which caps practical runs at roughly 10⁴–10⁵ nodes; its
+//     value is independence — it is the oracle the step engine's sleep and
+//     fast-forward paths are checked against.
 //
-//   - EngineStep (RunStep) executes explicit per-node step machines on a
-//     sharded worker pool: nodes are partitioned into contiguous shards,
-//     inbox/outbox buffers are preallocated per shard and reused across
-//     rounds, message delivery is double-buffered between a compute phase
-//     and a delivery phase, and each round costs a single fan-out/fan-in
-//     barrier instead of 2n channel handoffs. Machines may additionally
-//     call StepCtx.Sleep to park until a message arrives, so protocols
-//     whose activity is a travelling wavefront run in time proportional to
-//     the work done, not nodes × rounds. This is the engine for
-//     million-node simulations.
+//   - EngineStep (the default) executes the machines on a sharded worker
+//     pool: nodes are partitioned into contiguous shards, inbox/outbox
+//     buffers are preallocated per shard and reused across rounds, message
+//     delivery is double-buffered between a compute phase and a delivery
+//     phase, and each round costs a single fan-out/fan-in barrier instead
+//     of 2n channel handoffs. Machines may additionally call
+//     StepCtx.Sleep to park until a message arrives, so protocols whose
+//     activity is a travelling wavefront run in time proportional to the
+//     work done, not nodes × rounds. This is the engine for million-node
+//     simulations.
 //
-// Both entry points take either engine. RunStep(..., WithEngine(EngineGoroutine))
-// drives a step program's machines from node goroutines, one Step per Tick,
-// every node every round — the oracle for the step engine's sleep and
-// fast-forward paths. Every protocol of this module is such a machine,
-// ending its barrier-synchronized steps on one StepBarrier (stepbarrier.go).
-// Run(..., WithEngine(EngineStep)) runs a goroutine Program on the step
-// engine through a built-in adapter. Either way the results and metrics are
-// identical.
+// Barrier-synchronized protocols end their steps on one StepBarrier
+// (stepbarrier.go). Either way the results and metrics are identical.
 //
 // # Determinism contract
 //
@@ -124,7 +119,7 @@ type BusyTone struct{}
 // to it in the previous round (sorted by sender id, then edge id) and the
 // previous slot's resolution.
 type Input struct {
-	Round int // the round now beginning (first Tick returns Round == 1)
+	Round int // the round now beginning (0 for a node's first Step)
 	Msgs  []Message
 	Slot  Slot
 }
@@ -202,13 +197,9 @@ func (m Metrics) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// Program is the code run by every node. It must communicate only through
-// its Ctx and may keep arbitrary local state. Returning a non-nil error
-// aborts the entire run. Programs typically branch on ctx.ID().
-type Program func(ctx *Ctx) error
-
-// ErrMaxRounds is returned by Run when the round budget is exhausted before
-// every node halts, which almost always indicates a livelocked protocol.
+// ErrMaxRounds is returned by RunStep when the round budget is exhausted
+// before every node halts, which almost always indicates a livelocked
+// protocol.
 var ErrMaxRounds = errors.New("sim: maximum round count exceeded")
 
 // errAborted is the sentinel panic used to unwind node goroutines when the
@@ -270,8 +261,8 @@ func (c *config) resolveMaxRounds(g graph.Topology) {
 	c.maxRounds = defaultMaxRounds(g)
 }
 
-// WithEngine selects the execution model for this run; without it Run uses
-// DefaultEngine and RunStep the step engine.
+// WithEngine selects the execution model for this run; without it RunStep
+// uses the step engine.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithWorkers sets the step engine's worker count; 0 means DefaultWorkers
@@ -282,7 +273,7 @@ func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // DefaultFaults is the fault plan a run uses when no WithFaults option is
 // given; nil (the default) means fault-free. Commands set it from their
-// -faults/-crash/-jam flags so every sim.Run a protocol performs — including
+// -faults/-crash/-jam flags so every run a protocol performs — including
 // the inner runs of multi-stage algorithms — executes under the plan, with
 // each run's fault rounds counted from its own round 0.
 var DefaultFaults *fault.Plan
@@ -309,16 +300,18 @@ type outMsg struct {
 	payload Payload
 }
 
-// Ctx is a node's handle to the network. All methods must be called only
-// from that node's program goroutine. Methods panic on model violations
-// (two sends on one link in a round, two channel writes in a round); these
-// are programming errors, not runtime conditions.
+// Ctx is a node's handle to the network under the goroutine engine, the
+// Node a machine receives there. It keeps its own per-node state and link
+// index, independent of StepCtx, so the goroutine engine stays an oracle
+// for the step engine. All methods must be called only from that node's
+// goroutine. Methods panic on model violations (two sends on one link in a
+// round, two channel writes in a round); these are programming errors, not
+// runtime conditions.
 type Ctx struct {
 	id      graph.NodeID
 	topo    graph.Topology
-	adj     []graph.Half   // this node's links, cached at construction
-	rng     *rand.Rand     // created lazily from rngSeed on first use
-	rngCS   *countedSource // rng's draw-counting source (checkpoint position)
+	adj     []graph.Half // this node's links, cached at construction
+	rng     *rand.Rand   // created lazily from rngSeed on first use
 	rngSeed int64
 
 	round     int
@@ -329,7 +322,7 @@ type Ctx struct {
 
 	linkByEdge map[int]int          // edge id -> local link index
 	linkByPeer map[graph.NodeID]int // neighbor id -> local link index
-	result     any
+	result     any                  // the machine's Result, recorded when it halts
 
 	resume chan Input
 	done   chan bool // true = ticked (wants next round), false = halted
@@ -352,15 +345,14 @@ func (c *Ctx) Adj() []graph.Half { return c.adj }
 // Degree returns the number of incident links.
 func (c *Ctx) Degree() int { return len(c.adj) }
 
-// Round returns the current round number (0 before the first Tick).
+// Round returns the current round number (0 during the first Step).
 func (c *Ctx) Round() int { return c.round }
 
 // Rand returns this node's private deterministic RNG, created lazily so
-// runs that never draw randomness pay nothing for it. The source counts
-// its draws, so the generator's position is checkpointable.
+// runs that never draw randomness pay nothing for it.
 func (c *Ctx) Rand() *rand.Rand {
 	if c.rng == nil {
-		c.rng, c.rngCS = newNodeRand(c.rngSeed, 0)
+		c.rng, _ = newNodeRand(c.rngSeed, 0)
 	}
 	return c.rng
 }
@@ -436,12 +428,9 @@ func (c *Ctx) Failf(format string, args ...any) {
 
 func (c *Ctx) wroteChannel() bool { return c.chPending }
 
-// SetResult records this node's final output, retrievable from Run's Results.
-func (c *Ctx) SetResult(v any) { c.result = v }
-
-// Tick commits the current round's sends and channel write, blocks until
+// tick commits the current round's sends and channel write, blocks until
 // every node has committed, and returns the next round's input.
-func (c *Ctx) Tick() Input {
+func (c *Ctx) tick() Input {
 	c.done <- true
 	in, ok := <-c.resume
 	if !ok {
@@ -454,13 +443,13 @@ func (c *Ctx) Tick() Input {
 // Result holds the outcome of a run.
 type Result struct {
 	Metrics Metrics
-	Results []any // per-node values recorded via Ctx.SetResult
+	Results []any // per-node values of Machine.Result (nil for crashed nodes)
 }
 
-// newCtx builds the blocking per-node handle shared by the goroutine engine
-// and the step engine's compatibility adapter. The node's adjacency is
-// cached up front (the stored form hands out its slice for free; implicit
-// forms compute it once per node), so Adj/Degree stay O(1) per call.
+// newCtx builds the goroutine engine's blocking per-node handle. The node's
+// adjacency is cached up front (the stored form hands out its slice for
+// free; implicit forms compute it once per node), so Adj/Degree stay O(1)
+// per call.
 func newCtx(t graph.Topology, id graph.NodeID, seed int64) *Ctx {
 	adj := t.Adj(id)
 	ctx := &Ctx{
@@ -481,64 +470,6 @@ func newCtx(t graph.Topology, id graph.NodeID, seed int64) *Ctx {
 	return ctx
 }
 
-// Run executes program on every node of g — any graph.Topology form —
-// until all programs return, and returns aggregate metrics and per-node
-// results. The first program error (or panic, or an exhausted round budget)
-// aborts the run. The engine is chosen with WithEngine (DefaultEngine
-// otherwise); both engines, any worker count, and both topology forms of
-// the same spec produce identical results and metrics for the same seed.
-func Run(g graph.Topology, program Program, opts ...Option) (*Result, error) {
-	cfg := config{seed: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.resolveMaxRounds(g)
-	engine := cfg.engine
-	if engine == 0 {
-		engine = DefaultEngine
-	}
-	switch engine {
-	case EngineStep:
-		return runStepAdapter(g, program, cfg)
-	case EngineGoroutine:
-		return runGoroutine(g, func(*Ctx) (Program, error) { return program, nil }, cfg)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %d", engine)
-	}
-}
-
-// binder returns the Program one node's goroutine runs, on the scheduler,
-// before the goroutine starts. Binding happens in node order — and again for
-// every restart revival — so a StepProgram's init hook sees exactly the
-// calls it sees on the step engine.
-type binder func(ctx *Ctx) (Program, error)
-
-// bindMachine builds the node's machine with program and returns the
-// Program that drives it: one Step per round, each Tick's input fed to the
-// next.
-func bindMachine(program StepProgram) binder {
-	return func(ctx *Ctx) (body Program, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = nodeFailure(ctx.id, r)
-			}
-		}()
-		m := program(ctx)
-		if m == nil {
-			return nil, fmt.Errorf("sim: step program returned a nil machine for node %d", ctx.id)
-		}
-		if len(ctx.out) > 0 || ctx.chPending {
-			return nil, fmt.Errorf("sim: step program for node %d sent or wrote the channel during init", ctx.id)
-		}
-		return func(ctx *Ctx) error {
-			for in := (Input{}); !m.Step(in); in = ctx.Tick() {
-			}
-			ctx.SetResult(m.Result())
-			return nil
-		}, nil
-	}
-}
-
 // pendingMsg is one delayed or duplicated message held by the goroutine
 // engine until its fault-assigned delivery round.
 type pendingMsg struct {
@@ -546,9 +477,9 @@ type pendingMsg struct {
 	msg Message
 }
 
-// runGoroutine is the historical engine: one goroutine per node, resumed
-// round by round from a single scheduler loop.
-func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
+// runGoroutine is the oracle engine: one goroutine per node, resumed round
+// by round from a single scheduler loop, stepping its machine every round.
+func runGoroutine(g graph.Topology, program StepProgram, cfg config) (*Result, error) {
 	if cfg.ckpt != nil || cfg.resume != nil {
 		// Goroutine stacks cannot be serialized; checkpointing is a step
 		// engine capability (Resume always runs the step engine).
@@ -560,10 +491,10 @@ func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
 	}
 	n := g.N()
 	ctxs := make([]*Ctx, n)
-	bodies := make([]Program, n)
+	machines := make([]Machine, n)
 	for v := 0; v < n; v++ {
 		ctxs[v] = newCtx(g, graph.NodeID(v), cfg.seed)
-		if bodies[v], err = bind(ctxs[v]); err != nil {
+		if machines[v], err = initMachine(program, ctxs[v]); err != nil {
 			return nil, err
 		}
 	}
@@ -595,9 +526,10 @@ func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
 	}
 
 	// spawn launches one node goroutine (initial start and restart revivals
-	// share it): run the body, record the first error, and always hand the
-	// scheduler a final halt signal.
-	spawn := func(ctx *Ctx, body Program) {
+	// share it): one Step per round, each tick's input fed to the next, the
+	// result recorded at the halt. A panic records the node's error, and the
+	// scheduler always gets a final halt signal.
+	spawn := func(ctx *Ctx, m Machine) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -609,13 +541,13 @@ func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
 				}
 				ctx.done <- false
 			}()
-			if err := body(ctx); err != nil {
-				recordErr(ctx.id, fmt.Errorf("sim: node %d: %w", ctx.id, err))
+			for in := (Input{}); !m.Step(in); in = ctx.tick() {
 			}
+			ctx.result = m.Result()
 		}()
 	}
 	for v := 0; v < n; v++ {
-		spawn(ctxs[v], bodies[v])
+		spawn(ctxs[v], machines[v])
 	}
 
 	res := &Result{Results: make([]any, n)}
@@ -653,7 +585,7 @@ func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
 			roundBase[v] = round
 			ctx := newCtx(g, v, cfg.seed)
 			ctx.rngSeed = nodeSeedAt(cfg.seed, v, incarnation[v])
-			body, err := bind(ctx)
+			m, err := initMachine(program, ctx)
 			if err != nil {
 				// The revival failed to build: the node stays down for
 				// good and the run aborts at the end of this round.
@@ -664,7 +596,7 @@ func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
 			alive[v] = true
 			aliveCount++
 			met.Restarted++
-			spawn(ctx, body)
+			spawn(ctx, m)
 		}
 		var tStep, tDeliver int64
 		if rec != nil {
@@ -758,7 +690,7 @@ func runGoroutine(g graph.Topology, bind binder, cfg config) (*Result, error) {
 				inboxes[m.to] = append(inboxes[m.to], msg)
 			}
 			// Reset per-round node state. Safe: live nodes are blocked in
-			// Tick; halted nodes have returned.
+			// tick; halted nodes have returned.
 			ctx.out = ctx.out[:0]
 			clear(ctx.sentLink)
 			ctx.chPending = false

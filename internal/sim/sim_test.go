@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-func ring(t *testing.T, n int) *graph.Graph {
+func ring(t testing.TB, n int) *graph.Graph {
 	t.Helper()
 	g, err := graph.Ring(n, 1)
 	if err != nil {
@@ -17,7 +15,7 @@ func ring(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-func path(t *testing.T, n int) *graph.Graph {
+func path(t testing.TB, n int) *graph.Graph {
 	t.Helper()
 	g, err := graph.Path(n, 1)
 	if err != nil {
@@ -26,149 +24,23 @@ func path(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-func TestRunImmediateHalt(t *testing.T) {
-	res, err := Run(ring(t, 5), func(ctx *Ctx) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Rounds != 1 {
-		t.Errorf("Rounds = %d, want 1", res.Metrics.Rounds)
-	}
-	if res.Metrics.Messages != 0 {
-		t.Errorf("Messages = %d, want 0", res.Metrics.Messages)
-	}
-	if res.Metrics.SlotsIdle != 1 {
-		t.Errorf("SlotsIdle = %d, want 1", res.Metrics.SlotsIdle)
-	}
-}
-
-func TestMessageDelivery(t *testing.T) {
-	// Node 0 sends its id to every neighbor in round 0; neighbors check
-	// receipt in round 1.
-	g := path(t, 3)
-	res, err := Run(g, func(ctx *Ctx) error {
-		if ctx.ID() == 1 {
-			for l := range ctx.Adj() {
-				ctx.Send(l, int(ctx.ID()))
-			}
-			ctx.Tick()
-			return nil
-		}
-		in := ctx.Tick()
-		if len(in.Msgs) != 1 {
-			return fmt.Errorf("node %d got %d msgs, want 1", ctx.ID(), len(in.Msgs))
-		}
-		m := in.Msgs[0]
-		if m.From != 1 || m.Payload.(int) != 1 {
-			return fmt.Errorf("node %d got %+v", ctx.ID(), m)
-		}
-		ctx.SetResult(m.Payload)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Messages != 2 {
-		t.Errorf("Messages = %d, want 2", res.Metrics.Messages)
-	}
-	if res.Results[0] != 1 || res.Results[2] != 1 {
-		t.Errorf("results = %v", res.Results)
-	}
-}
-
-func TestInboxSorted(t *testing.T) {
-	// All ring neighbors of node 0 send to it; inbox must be sorted by sender.
-	g := ring(t, 6)
-	_, err := Run(g, func(ctx *Ctx) error {
-		if ctx.ID() != 0 {
-			if l, ok := ctx.Link(0); ok {
-				ctx.Send(l, int(ctx.ID()))
-			}
-			ctx.Tick()
-			return nil
-		}
-		in := ctx.Tick()
-		if len(in.Msgs) != 2 {
-			return fmt.Errorf("got %d msgs, want 2", len(in.Msgs))
-		}
-		if in.Msgs[0].From >= in.Msgs[1].From {
-			return fmt.Errorf("inbox not sorted: %v, %v", in.Msgs[0].From, in.Msgs[1].From)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChannelResolution(t *testing.T) {
-	tests := []struct {
-		name    string
-		writers []graph.NodeID
-		want    SlotState
-	}{
-		{"idle", nil, SlotIdle},
-		{"success", []graph.NodeID{2}, SlotSuccess},
-		{"collision two", []graph.NodeID{1, 3}, SlotCollision},
-		{"collision all", []graph.NodeID{0, 1, 2, 3, 4}, SlotCollision},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			g := ring(t, 5)
-			writerSet := make(map[graph.NodeID]bool)
-			for _, w := range tt.writers {
-				writerSet[w] = true
-			}
-			res, err := Run(g, func(ctx *Ctx) error {
-				if writerSet[ctx.ID()] {
-					ctx.Broadcast(int(ctx.ID()) * 10)
-				}
-				in := ctx.Tick()
-				if in.Slot.State != tt.want {
-					return fmt.Errorf("node %d saw slot %v, want %v", ctx.ID(), in.Slot.State, tt.want)
-				}
-				if tt.want == SlotSuccess {
-					if in.Slot.From != tt.writers[0] || in.Slot.Payload.(int) != int(tt.writers[0])*10 {
-						return fmt.Errorf("slot = %+v", in.Slot)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := res.Metrics
-			switch tt.want {
-			case SlotIdle:
-				if m.SlotsIdle < 1 {
-					t.Error("no idle slot counted")
-				}
-			case SlotSuccess:
-				if m.SlotsSuccess != 1 {
-					t.Errorf("SlotsSuccess = %d", m.SlotsSuccess)
-				}
-			case SlotCollision:
-				if m.SlotsCollision != 1 {
-					t.Errorf("SlotsCollision = %d", m.SlotsCollision)
-				}
-			}
-		})
-	}
-}
-
 func TestBroadcastHeardByAll(t *testing.T) {
-	g := ring(t, 7)
-	res, err := Run(g, func(ctx *Ctx) error {
-		if ctx.ID() == 3 {
-			ctx.Broadcast("hello")
+	res := mustRunEngines(t, ring(t, 7), func(c Node) Machine {
+		var heard Payload
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == 0 {
+					if c.ID() == 3 {
+						c.Broadcast("hello")
+					}
+					return false
+				}
+				heard = in.Slot.Payload
+				return true
+			},
+			result: func() any { return heard },
 		}
-		in := ctx.Tick()
-		ctx.SetResult(in.Slot.Payload)
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v, r := range res.Results {
 		if r != "hello" {
 			t.Errorf("node %d heard %v", v, r)
@@ -176,83 +48,43 @@ func TestBroadcastHeardByAll(t *testing.T) {
 	}
 }
 
-func TestProgramErrorAborts(t *testing.T) {
-	wantErr := errors.New("boom")
-	_, err := Run(ring(t, 4), func(ctx *Ctx) error {
-		if ctx.ID() == 2 {
-			return wantErr
-		}
-		for {
-			ctx.Tick() // would run forever without the abort
-		}
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want %v", err, wantErr)
-	}
-}
-
-func TestNodePanicIsReported(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		if ctx.ID() == 1 {
-			panic("kaboom")
-		}
-		ctx.Tick()
-		return nil
-	})
-	if err == nil || !errors.Is(err, err) {
-		t.Fatal("expected error from panic")
-	}
-}
-
-func TestMaxRounds(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		for {
-			ctx.Tick()
-		}
-	}, WithMaxRounds(10))
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("err = %v, want ErrMaxRounds", err)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
-	run := func() (int64, int) {
-		g, err := graph.RandomConnected(20, 20, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(g, func(ctx *Ctx) error {
-			for r := 0; r < 10; r++ {
-				if ctx.Rand().Intn(3) == 0 {
-					ctx.Broadcast(int(ctx.ID()))
-				}
-				if ctx.Rand().Intn(2) == 0 && ctx.Degree() > 0 {
-					ctx.Send(ctx.Rand().Intn(ctx.Degree()), r)
-				}
-				ctx.Tick()
-			}
-			return nil
-		}, WithSeed(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Metrics.Messages, int(res.Metrics.SlotsCollision)
+	g, err := graph.RandomConnected(20, 20, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m1, c1 := run()
-	m2, c2 := run()
-	if m1 != m2 || c1 != c2 {
-		t.Errorf("nondeterministic: (%d,%d) vs (%d,%d)", m1, c1, m2, c2)
+	prog := func(c Node) Machine {
+		return &stepFuncs{step: func(in Input) bool {
+			if in.Round == 10 {
+				return true
+			}
+			if c.Rand().Intn(3) == 0 {
+				c.Broadcast(int(c.ID()))
+			}
+			if c.Rand().Intn(2) == 0 && c.Degree() > 0 {
+				c.Send(c.Rand().Intn(c.Degree()), in.Round)
+			}
+			return false
+		}}
+	}
+	a := mustRunEngines(t, g, prog, WithSeed(99))
+	b := mustRunEngines(t, g, prog, WithSeed(99))
+	if a.Metrics != b.Metrics {
+		t.Errorf("nondeterministic: %+v vs %+v", a.Metrics, b.Metrics)
 	}
 }
 
 func TestPerNodeRNGsDiffer(t *testing.T) {
-	res, err := Run(ring(t, 8), func(ctx *Ctx) error {
-		ctx.SetResult(ctx.Rand().Int63())
-		return nil
+	res := mustRunEngines(t, ring(t, 8), func(c Node) Machine {
+		var draw int64
+		return &stepFuncs{
+			step: func(Input) bool {
+				draw = c.Rand().Int63()
+				return true
+			},
+			result: func() any { return draw },
+		}
 	}, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := make(map[any]bool)
 	for _, r := range res.Results {
 		if seen[r] {
@@ -262,40 +94,13 @@ func TestPerNodeRNGsDiffer(t *testing.T) {
 	}
 }
 
-func TestRoundNumbering(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		if ctx.Round() != 0 {
-			return fmt.Errorf("initial round = %d", ctx.Round())
-		}
-		for want := 1; want <= 3; want++ {
-			in := ctx.Tick()
-			if in.Round != want || ctx.Round() != want {
-				return fmt.Errorf("round = %d/%d, want %d", in.Round, ctx.Round(), want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoubleSendPanics(t *testing.T) {
-	_, err := Run(path(t, 2), func(ctx *Ctx) error {
-		ctx.Send(0, 1)
-		ctx.Send(0, 2)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("double send must abort the run with an error")
-	}
-}
-
 func TestDoubleBroadcastPanics(t *testing.T) {
-	_, err := Run(path(t, 2), func(ctx *Ctx) error {
-		ctx.Broadcast(1)
-		ctx.Broadcast(2)
-		return nil
+	_, err := runEngines(t, path(t, 2), func(c Node) Machine {
+		return &stepFuncs{step: func(Input) bool {
+			c.Broadcast(1)
+			c.Broadcast(2)
+			return true
+		}}
 	})
 	if err == nil {
 		t.Fatal("double broadcast must abort the run with an error")
@@ -303,63 +108,39 @@ func TestDoubleBroadcastPanics(t *testing.T) {
 }
 
 func TestSendToAndLink(t *testing.T) {
-	_, err := Run(path(t, 3), func(ctx *Ctx) error {
-		if ctx.ID() == 0 {
-			if _, ok := ctx.Link(2); ok {
-				return errors.New("node 0 should not be adjacent to 2")
+	mustRunEngines(t, path(t, 3), func(c Node) Machine {
+		return &stepFuncs{step: func(in Input) bool {
+			if in.Round == 0 {
+				if c.ID() == 0 {
+					if _, ok := c.Link(2); ok {
+						c.Failf("node 0 should not be adjacent to 2")
+					}
+					c.SendTo(1, "x")
+				}
+				return false
 			}
-			ctx.SendTo(1, "x")
-		}
-		in := ctx.Tick()
-		if ctx.ID() == 1 {
-			if len(in.Msgs) != 1 || in.Msgs[0].Payload != "x" {
-				return fmt.Errorf("node 1 inbox: %v", in.Msgs)
+			if c.ID() == 1 {
+				if len(in.Msgs) != 1 || in.Msgs[0].Payload != "x" {
+					c.Failf("node 1 inbox: %v", in.Msgs)
+				}
+				// LinkOf must give back the local index of the arrival edge.
+				l := c.LinkOf(in.Msgs[0].EdgeID)
+				if c.Adj()[l].To != 0 {
+					c.Failf("LinkOf points at wrong neighbor")
+				}
 			}
-			// LinkOf must give back the local index of the arrival edge.
-			l := ctx.LinkOf(in.Msgs[0].EdgeID)
-			if ctx.Adj()[l].To != 0 {
-				return errors.New("LinkOf points at wrong neighbor")
-			}
-		}
-		return nil
+			return true
+		}}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestStaggeredHalting(t *testing.T) {
-	// Node v halts after v rounds; engine must keep running until the last.
-	res, err := Run(ring(t, 6), func(ctx *Ctx) error {
-		for r := 0; r < int(ctx.ID()); r++ {
-			ctx.Tick()
-		}
-		return nil
+	// Node v halts in round v; the engine must keep running until the last.
+	res := mustRunEngines(t, ring(t, 6), func(c Node) Machine {
+		return &stepFuncs{step: func(in Input) bool { return in.Round == int(c.ID()) }}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Metrics.Rounds != 6 {
 		t.Errorf("Rounds = %d, want 6", res.Metrics.Rounds)
-	}
-}
-
-func TestDroppedToHalted(t *testing.T) {
-	// Node 0 halts immediately; node 1 sends to it afterwards.
-	res, err := Run(path(t, 2), func(ctx *Ctx) error {
-		if ctx.ID() == 0 {
-			return nil
-		}
-		ctx.Tick()
-		ctx.Send(0, "late")
-		ctx.Tick()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.DroppedHalted != 1 {
-		t.Errorf("DroppedHalted = %d, want 1", res.Metrics.DroppedHalted)
 	}
 }
 

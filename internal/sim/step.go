@@ -69,16 +69,15 @@ import (
 	"repro/internal/graph"
 )
 
-// Engine selects the execution model backing Run.
+// Engine selects the execution model backing RunStep.
 type Engine int
 
 // The execution models.
 const (
 	// EngineGoroutine runs one blocking goroutine per node with a central
-	// scheduler — the historical engine.
+	// scheduler — the oracle engine.
 	EngineGoroutine Engine = iota + 1
-	// EngineStep runs the sharded step-machine engine; goroutine Programs
-	// are executed through a built-in adapter.
+	// EngineStep runs the sharded step-machine engine.
 	EngineStep
 )
 
@@ -106,9 +105,9 @@ func ParseEngine(s string) (Engine, error) {
 	}
 }
 
-// DefaultEngine is the engine Run uses when no WithEngine option is given.
-// Commands set it from their -engine flag so every protocol in the process
-// routes through the selected engine.
+// DefaultEngine is the engine the protocols pass to RunStep with
+// WithEngine. Commands set it from their -engine flag so every protocol in
+// the process routes through the selected engine.
 var DefaultEngine = EngineGoroutine
 
 // DefaultWorkers is the step engine's worker count when no WithWorkers
@@ -119,8 +118,7 @@ var DefaultWorkers = 0
 // native step API.
 //
 // Step is called once per round with that round's input (round 0 carries no
-// messages and a zero slot, mirroring the code a goroutine Program runs
-// before its first Tick). Sends and channel writes staged during Step are
+// messages and a zero slot). Sends and channel writes staged during Step are
 // committed when it returns; returning true halts the node, with any staged
 // sends still delivered. The Input and its Msgs are engine-owned and only
 // valid during the call.
@@ -128,8 +126,7 @@ var DefaultWorkers = 0
 // Result is the result hook: it is called once, when the node halts, and
 // its value lands in the run's Result.Results slot for the node. A node
 // crash-stopped by fault injection records a nil result instead — it never
-// reached its halt, mirroring a goroutine program that never called
-// SetResult.
+// reached its halt.
 type Machine interface {
 	Step(in Input) (halt bool)
 	Result() any
@@ -177,9 +174,8 @@ type Node interface {
 }
 
 // stagedSend is one queued point-to-point message in a shard's staging
-// buffer. link is the sender-local link index (used to reset the duplicate-
-// send guard) or -1 for messages staged by the goroutine adapter, which has
-// already enforced the model's one-send-per-link rule in Ctx.
+// buffer. link is the sender-local link index, used to reset the duplicate-
+// send guard.
 type stagedSend struct {
 	to      graph.NodeID
 	edgeID  int32
@@ -212,13 +208,12 @@ const (
 )
 
 // StepCtx is a node's handle to the network under the step engine, the
-// Node a machine receives there (the engine calls Machine.Step instead of
-// a Tick). It is a 16-byte (id, engine) pair — all per-node state lives
-// in the engine's parallel arrays and the shard's scratch. All methods must
-// be called only from the node's Machine during Step (or from its
-// StepProgram during construction, for the read-only ones). Methods panic
-// on model violations; a panic aborts the run with an error naming the
-// node.
+// Node a machine receives there. It is a 16-byte (id, engine) pair — all
+// per-node state lives in the engine's parallel arrays and the shard's
+// scratch. All methods must be called only from the node's Machine during
+// Step (or from its StepProgram during construction, for the read-only
+// ones). Methods panic on model violations; a panic aborts the run with an
+// error naming the node.
 type StepCtx struct {
 	id  graph.NodeID
 	eng *stepEngine
@@ -464,15 +459,10 @@ func (c *StepCtx) SleepUntilPulse() { c.eng.flags[c.id] |= flagAsleep | flagPuls
 // the engine records it verbatim instead of as a node panic.
 type failError struct{ err error }
 
-// Failf aborts the run with an error attributed to this node — the native
-// API's analog of a goroutine Program returning an error.
+// Failf aborts the run with an error attributed to this node.
 func (c *StepCtx) Failf(format string, args ...any) {
 	panic(failError{err: fmt.Errorf(format, args...)})
 }
-
-// aborter is implemented by machines that need unwinding when the engine
-// aborts a run with live nodes (the goroutine adapter's blocked programs).
-type aborter interface{ abortRun() }
 
 // shardRNG adapts one node's (word, draws) slot in the shard's RNG arrays
 // to rand.Source64; StepCtx.Rand points i at the calling node. The
@@ -716,8 +706,7 @@ var disableFastForward bool
 
 // RunStep executes one Machine per node of g — any graph.Topology form —
 // until all machines halt, and returns aggregate metrics and per-node
-// results — the native entry point of the step engine. Options are shared
-// with Run. The step engine runs unless WithEngine(EngineGoroutine) selects
+// results. The step engine runs unless WithEngine(EngineGoroutine) selects
 // the goroutine engine, which steps every machine every round from its own
 // goroutine — the oracle the step engine's sleep and fast-forward paths are
 // checked against. On an implicit topology the step engine keeps only
@@ -733,7 +722,7 @@ func RunStep(g graph.Topology, program StepProgram, opts ...Option) (*Result, er
 	case 0, EngineStep:
 		return runStepEngine(g, program, cfg)
 	case EngineGoroutine:
-		return runGoroutine(g, bindMachine(program), cfg)
+		return runGoroutine(g, program, cfg)
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %d", cfg.engine)
 	}
@@ -844,25 +833,29 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 		sc.id = graph.NodeID(v)
 		sc.eng = e
 		e.flags[v] = flagScheduled
-		if err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = nodeFailure(sc.id, r)
-				}
-			}()
-			e.machines[v] = program(sc)
-			return nil
-		}(); err != nil {
+		if e.machines[v], err = initMachine(program, sc); err != nil {
 			return nil, err
-		}
-		if e.machines[v] == nil {
-			return nil, fmt.Errorf("sim: step program returned a nil machine for node %d", sc.id)
-		}
-		if sd := sc.shard(); len(sd.stage) > 0 || sd.chPending {
-			return nil, fmt.Errorf("sim: step program for node %d sent or wrote the channel during init", sc.id)
 		}
 	}
 	return e, nil
+}
+
+// initMachine runs the init hook for one node on either engine: a panic
+// becomes the node's error, and the hook must return a machine without
+// sending or writing the channel.
+func initMachine(program StepProgram, c Node) (m Machine, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = nodeFailure(c.ID(), r)
+		}
+	}()
+	if m = program(c); m == nil {
+		return nil, fmt.Errorf("sim: step program returned a nil machine for node %d", c.ID())
+	}
+	if c.SentThisRound() || c.wroteChannel() {
+		return nil, fmt.Errorf("sim: step program for node %d sent or wrote the channel during init", c.ID())
+	}
+	return m, nil
 }
 
 // run executes the round loop from the given round (0 for a fresh run, the
@@ -880,7 +873,6 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		e.startWorkers()
 		defer e.stopWorkers()
 	}
-	defer e.abortMachines() // no-op unless the run ends with live adapters
 
 	stepped := make([]int, 0, len(e.shards))
 	awakeTotal := 0
@@ -952,14 +944,7 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 			if e.flags[v]&flagHalted != 0 {
 				continue
 			}
-			// A crash-stopped node records no result — it never reached its
-			// halt — except through the goroutine adapter, whose program may
-			// have called SetResult before the crash (the goroutine engine
-			// keeps that partial value, so the adapter must too).
-			if ab, ok := e.machines[v].(aborter); ok {
-				ab.abortRun()
-				e.results[v] = e.machines[v].Result()
-			}
+			// A crash-stopped node records no result: it never halted.
 			e.flags[v] |= flagHalted | flagCrashed
 			e.alive--
 			e.met.Crashed++
@@ -1024,7 +1009,6 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		}
 	}
 
-	e.abortMachines()
 	if rec := e.rec; rec != nil {
 		rec.RunEnd(&e.met)
 	}
@@ -1063,25 +1047,18 @@ func (e *stepEngine) reviveRestarts(round int) {
 			i := int(v) - sd.lo
 			sd.rngWord[i], sd.rngDraws[i] = 0, 0
 		}
-		sc := &e.nodes[v]
-		if err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = nodeFailure(sc.id, r)
-				}
-			}()
-			e.machines[v] = e.program(sc)
-			return nil
-		}(); err != nil {
-			e.recordErr(sc.id, err)
+		m, err := initMachine(e.program, &e.nodes[v])
+		if err != nil {
+			// The revival failed to build: the node stays down for good, the
+			// run aborts at the end of this round, and nothing the hook
+			// staged is left for the shard's next node to commit.
+			e.recordErr(graph.NodeID(v), err)
 			e.flags[v] = flagHalted
+			sd.stage, sd.chPending, sd.chWrite = sd.stage[:0], false, nil
+			clear(sd.sentBits)
 			continue
 		}
-		if e.machines[v] == nil {
-			e.recordErr(sc.id, fmt.Errorf("sim: step program returned a nil machine for node %d", sc.id))
-			e.flags[v] = flagHalted
-			continue
-		}
+		e.machines[v] = m
 		sd.awake = append(sd.awake, int32(v))
 		e.alive++
 		e.met.Restarted++
@@ -1416,9 +1393,8 @@ func (e *stepEngine) stepShard(s *stepShard) {
 // panics: the happy path pays for one deferred recover per batch instead of
 // one per node step. On a panic the failing node's error is recorded, its
 // sends and channel write staged before the panic are still committed
-// (exactly as a goroutine program's are), the node leaves the run like an
-// errored program, and the index after it is returned so the caller resumes
-// the batch.
+// (exactly as the goroutine engine's are), the node leaves the run, and the
+// index after it is returned so the caller resumes the batch.
 //
 //mmlint:noalloc
 func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
@@ -1492,9 +1468,7 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 		s.chPending, s.chWrite = false, nil
 	}
 	for _, o := range s.stage {
-		if o.link >= 0 {
-			s.sentBits[o.link>>6] &^= uint64(1) << (o.link & 63)
-		}
+		s.sentBits[o.link>>6] &^= uint64(1) << (o.link & 63)
 		d := int(o.to) / e.shardSize
 		s.out[d] = append(s.out[d], delivered{to: o.to, from: id, edgeID: o.edgeID, payload: o.payload})
 	}
@@ -1507,8 +1481,8 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 // shard order — in the shard's inbox arena: survivors are gathered in
 // arrival order, counted per recipient, and laid out as one contiguous
 // window per recipient, all in buffers reused round after round (steady-
-// state delivery allocates nothing, adapter runs included). Multi-message
-// inboxes are sorted by (sender, edge id) and sleeping recipients woken.
+// state delivery allocates nothing). Multi-message inboxes are sorted by
+// (sender, edge id) and sleeping recipients woken.
 //
 //mmlint:noalloc
 func (e *stepEngine) deliverShard(d int) {
@@ -1715,19 +1689,6 @@ func sortInbox(box []Message) {
 		}
 		return cmp.Compare(a.EdgeID, b.EdgeID)
 	})
-}
-
-// abortMachines unwinds machines of nodes still live when the run ends —
-// with the goroutine adapter these hold blocked program goroutines.
-func (e *stepEngine) abortMachines() {
-	for v := range e.machines {
-		if e.flags[v]&flagHalted == 0 && e.machines[v] != nil {
-			if ab, ok := e.machines[v].(aborter); ok {
-				ab.abortRun()
-			}
-			e.flags[v] |= flagHalted
-		}
-	}
 }
 
 // recordErr keeps the lowest-node error of the failing round, so the

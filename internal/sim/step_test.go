@@ -24,48 +24,102 @@ func (m *stepFuncs) Result() any {
 	return m.result()
 }
 
-func TestStepImmediateHalt(t *testing.T) {
-	res, err := RunStep(ring(t, 5), func(c Node) Machine {
-		return &stepFuncs{step: func(Input) bool { return true }}
-	})
+// engineRuns are the configurations every engine-agnostic test runs: the
+// goroutine engine (the oracle) and the step engine at one and four workers.
+var engineRuns = []struct {
+	name string
+	opts []Option
+}{
+	{"goroutine", []Option{WithEngine(EngineGoroutine)}},
+	{"step-w1", []Option{WithEngine(EngineStep), WithWorkers(1)}},
+	{"step-w4", []Option{WithEngine(EngineStep), WithWorkers(4)}},
+}
+
+// runEngines runs prog under every engine configuration and requires the
+// same outcome from each: the same error text, or the same results and
+// metrics. It returns the goroutine engine's outcome.
+func runEngines(t *testing.T, g graph.Topology, prog StepProgram, opts ...Option) (*Result, error) {
+	t.Helper()
+	var ref *Result
+	var refErr error
+	for i, r := range engineRuns {
+		res, err := RunStep(g, prog, append(append([]Option{}, opts...), r.opts...)...)
+		if i == 0 {
+			ref, refErr = res, err
+			continue
+		}
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("%s: err = %v, goroutine engine's = %v", r.name, err, refErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(ref.Results, res.Results) {
+			t.Fatalf("%s results diverge:\n goroutine: %#v\n got:       %#v", r.name, ref.Results, res.Results)
+		}
+		if ref.Metrics != res.Metrics {
+			t.Fatalf("%s metrics diverge:\n goroutine: %+v\n got:       %+v", r.name, ref.Metrics, res.Metrics)
+		}
+	}
+	return ref, refErr
+}
+
+// mustRunEngines is runEngines for runs that must succeed.
+func mustRunEngines(t *testing.T, g graph.Topology, prog StepProgram, opts ...Option) *Result {
+	t.Helper()
+	res, err := runEngines(t, g, prog, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestStepImmediateHalt(t *testing.T) {
+	res := mustRunEngines(t, ring(t, 5), func(c Node) Machine {
+		return &stepFuncs{step: func(Input) bool { return true }}
+	})
 	if res.Metrics.Rounds != 1 || res.Metrics.Messages != 0 || res.Metrics.SlotsIdle != 1 {
 		t.Errorf("metrics = %+v", res.Metrics)
 	}
 }
 
 func TestStepMessageDeliveryAndSorting(t *testing.T) {
-	// All ring neighbors of node 0 send to it in round 0; its round-1 inbox
-	// must hold both messages sorted by sender.
+	// All ring neighbors of node 0 send their id to it in round 0; its
+	// round-1 inbox must hold both messages, sorted by sender, with their
+	// payloads intact.
 	g := ring(t, 6)
-	res, err := RunStep(g, func(c Node) Machine {
-		return &stepFuncs{step: func(in Input) bool {
-			switch in.Round {
-			case 0:
-				if c.ID() != 0 {
-					if l, ok := c.Link(0); ok {
-						c.Send(l, int(c.ID()))
+	res := mustRunEngines(t, g, func(c Node) Machine {
+		var got []int
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == 0 {
+					if c.ID() != 0 {
+						if l, ok := c.Link(0); ok {
+							c.Send(l, int(c.ID()))
+						}
+						return true
 					}
-					return true
+					return false
 				}
-				return false
-			default:
-				if c.ID() == 0 {
-					if len(in.Msgs) != 2 || in.Msgs[0].From >= in.Msgs[1].From {
-						c.Failf("inbox %v", in.Msgs)
+				if len(in.Msgs) != 2 || in.Msgs[0].From >= in.Msgs[1].From {
+					c.Failf("inbox %v", in.Msgs)
+				}
+				for _, m := range in.Msgs {
+					if m.Payload.(int) != int(m.From) {
+						c.Failf("message %+v", m)
 					}
+					got = append(got, m.Payload.(int))
 				}
 				return true
-			}
-		}}
+			},
+			result: func() any { return got },
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Metrics.Messages != 2 {
 		t.Errorf("Messages = %d, want 2", res.Metrics.Messages)
+	}
+	if want := []int{1, 5}; !reflect.DeepEqual(res.Results[0], want) {
+		t.Errorf("node 0 received %v, want %v", res.Results[0], want)
 	}
 }
 
@@ -77,14 +131,15 @@ func TestStepChannelResolution(t *testing.T) {
 	}{
 		{"idle", nil, SlotIdle},
 		{"success", []graph.NodeID{2}, SlotSuccess},
-		{"collision", []graph.NodeID{1, 3}, SlotCollision},
+		{"collision two", []graph.NodeID{1, 3}, SlotCollision},
+		{"collision all", []graph.NodeID{0, 1, 2, 3, 4}, SlotCollision},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			writerSet := make(map[graph.NodeID]bool)
 			for _, w := range tt.writers {
 				writerSet[w] = true
 			}
-			res, err := RunStep(ring(t, 5), func(c Node) Machine {
+			res := mustRunEngines(t, ring(t, 5), func(c Node) Machine {
 				return &stepFuncs{step: func(in Input) bool {
 					if in.Round == 0 {
 						if writerSet[c.ID()] {
@@ -101,11 +156,22 @@ func TestStepChannelResolution(t *testing.T) {
 					}
 					return true
 				}}
-			}, WithWorkers(3))
-			if err != nil {
-				t.Fatal(err)
+			})
+			m := res.Metrics
+			switch tt.want {
+			case SlotIdle:
+				if m.SlotsIdle != 2 {
+					t.Errorf("SlotsIdle = %d, want 2", m.SlotsIdle)
+				}
+			case SlotSuccess:
+				if m.SlotsSuccess != 1 {
+					t.Errorf("SlotsSuccess = %d", m.SlotsSuccess)
+				}
+			case SlotCollision:
+				if m.SlotsCollision != 1 {
+					t.Errorf("SlotsCollision = %d", m.SlotsCollision)
+				}
 			}
-			_ = res
 		})
 	}
 }
@@ -129,17 +195,16 @@ func TestStepResultHook(t *testing.T) {
 }
 
 func TestStepRoundNumbering(t *testing.T) {
-	_, err := RunStep(ring(t, 3), func(c Node) Machine {
+	mustRunEngines(t, ring(t, 3), func(c Node) Machine {
+		want := 0
 		return &stepFuncs{step: func(in Input) bool {
-			if in.Round != c.Round() {
-				c.Failf("in.Round %d != ctx round %d", in.Round, c.Round())
+			if in.Round != want || c.Round() != want {
+				c.Failf("round = %d/%d, want %d", in.Round, c.Round(), want)
 			}
+			want++
 			return in.Round == 3
 		}}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestStepSleepWave(t *testing.T) {
@@ -193,7 +258,7 @@ func TestStepQuiescenceHitsBudget(t *testing.T) {
 }
 
 func TestStepMaxRounds(t *testing.T) {
-	_, err := RunStep(ring(t, 3), func(c Node) Machine {
+	_, err := runEngines(t, ring(t, 3), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool { return false }}
 	}, WithMaxRounds(10))
 	if !errors.Is(err, ErrMaxRounds) {
@@ -202,7 +267,7 @@ func TestStepMaxRounds(t *testing.T) {
 }
 
 func TestStepPanicReported(t *testing.T) {
-	_, err := RunStep(ring(t, 3), func(c Node) Machine {
+	_, err := runEngines(t, ring(t, 3), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool {
 			if c.ID() == 1 {
 				panic("kaboom")
@@ -210,13 +275,13 @@ func TestStepPanicReported(t *testing.T) {
 			return false
 		}}
 	})
-	if err == nil || !strings.Contains(err.Error(), "node 1 panicked") {
+	if err == nil || err.Error() != "sim: node 1 panicked: kaboom" {
 		t.Fatalf("err = %v, want node 1 panic", err)
 	}
 }
 
 func TestStepDoubleSendPanics(t *testing.T) {
-	_, err := RunStep(path(t, 2), func(c Node) Machine {
+	_, err := runEngines(t, path(t, 2), func(c Node) Machine {
 		return &stepFuncs{step: func(Input) bool {
 			c.Send(0, 1)
 			c.Send(0, 2)
@@ -229,7 +294,7 @@ func TestStepDoubleSendPanics(t *testing.T) {
 }
 
 func TestStepDroppedToHalted(t *testing.T) {
-	res, err := RunStep(path(t, 2), func(c Node) Machine {
+	res := mustRunEngines(t, path(t, 2), func(c Node) Machine {
 		return &stepFuncs{step: func(in Input) bool {
 			if c.ID() == 0 {
 				return true
@@ -240,42 +305,27 @@ func TestStepDroppedToHalted(t *testing.T) {
 			return in.Round == 2
 		}}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Metrics.DroppedHalted != 1 {
 		t.Errorf("DroppedHalted = %d, want 1", res.Metrics.DroppedHalted)
 	}
 }
 
 // TestFailfSameOnBothEngines: Failf aborts the run with the same
-// `sim: node N: …` error whichever engine runs the machine, and a goroutine
-// Program calling Ctx.Failf reads the same on the goroutine engine and
-// through the step engine's adapter. The lowest failing node wins.
+// `sim: node N: …` error whichever engine runs the machine, wrapping the
+// error it formats with %w. The lowest failing node wins.
 func TestFailfSameOnBothEngines(t *testing.T) {
-	const want = "sim: node 1: bad round 2"
-	machine := func(c Node) Machine {
+	boom := errors.New("boom")
+	const want = "sim: node 1: bad round 2: boom"
+	_, err := runEngines(t, ring(t, 5), func(c Node) Machine {
 		return &stepFuncs{step: func(in Input) bool {
 			if in.Round == 2 && c.ID() >= 1 {
-				c.Failf("bad round %d", in.Round)
+				c.Failf("bad round %d: %w", in.Round, boom)
 			}
 			return false
 		}}
-	}
-	program := func(ctx *Ctx) error {
-		for in := (Input{}); ; in = ctx.Tick() {
-			if in.Round == 2 && ctx.ID() >= 1 {
-				ctx.Failf("bad round %d", in.Round)
-			}
-		}
-	}
-	for _, e := range []Engine{EngineGoroutine, EngineStep} {
-		if _, err := RunStep(ring(t, 5), machine, WithEngine(e)); err == nil || err.Error() != want {
-			t.Errorf("%v machine: err = %v, want %q", e, err, want)
-		}
-		if _, err := Run(ring(t, 5), program, WithEngine(e)); err == nil || err.Error() != want {
-			t.Errorf("%v program: err = %v, want %q", e, err, want)
-		}
+	})
+	if err == nil || err.Error() != want || !errors.Is(err, boom) {
+		t.Errorf("err = %v, want %q wrapping %v", err, want, boom)
 	}
 }
 
@@ -346,76 +396,42 @@ func TestOracleCatchesSleepContractViolation(t *testing.T) {
 	}
 }
 
-// chatterProgram is a randomized goroutine Program used to cross-check the
-// engines: every transcript-visible artifact (results and metrics) must be
-// identical between the goroutine engine and the step-engine adapter.
-func chatterProgram(rounds int) Program {
-	return func(ctx *Ctx) error {
+// chatterProgram is a randomized machine used to cross-check the engines:
+// every transcript-visible artifact (results and metrics) must be identical
+// on the goroutine engine and the step engine at any worker count.
+func chatterProgram(rounds int) StepProgram {
+	return func(c Node) Machine {
 		var heard int64
-		for r := 0; r < rounds; r++ {
-			if ctx.Rand().Intn(3) == 0 {
-				ctx.Broadcast(int(ctx.ID()))
-			}
-			if ctx.Rand().Intn(2) == 0 && ctx.Degree() > 0 {
-				ctx.Send(ctx.Rand().Intn(ctx.Degree()), r)
-			}
-			in := ctx.Tick()
-			heard += int64(len(in.Msgs))
-			if in.Slot.State == SlotSuccess {
-				heard += 1000
-			}
+		return &stepFuncs{
+			step: func(in Input) bool {
+				heard += int64(len(in.Msgs))
+				if in.Slot.State == SlotSuccess {
+					heard += 1000
+				}
+				if in.Round == rounds {
+					return true
+				}
+				if c.Rand().Intn(3) == 0 {
+					c.Broadcast(int(c.ID()))
+				}
+				if c.Rand().Intn(2) == 0 && c.Degree() > 0 {
+					c.Send(c.Rand().Intn(c.Degree()), in.Round)
+				}
+				return false
+			},
+			result: func() any { return heard },
 		}
-		ctx.SetResult(heard)
-		return nil
 	}
 }
 
-func TestAdapterMatchesGoroutineEngine(t *testing.T) {
+func TestChatterMatchesAcrossEngines(t *testing.T) {
 	g, err := graph.RandomConnected(40, 60, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, chatterProgram(12), WithSeed(99), WithEngine(EngineGoroutine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		got, err := Run(g, chatterProgram(12), WithSeed(99), WithEngine(EngineStep), WithWorkers(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want.Results, got.Results) {
-			t.Errorf("workers=%d: results differ", workers)
-		}
-		if want.Metrics != got.Metrics {
-			t.Errorf("workers=%d: metrics %+v vs %+v", workers, want.Metrics, got.Metrics)
-		}
-	}
-}
-
-func TestAdapterProgramErrorAborts(t *testing.T) {
-	wantErr := errors.New("boom")
-	_, err := Run(ring(t, 4), func(ctx *Ctx) error {
-		if ctx.ID() == 2 {
-			return wantErr
-		}
-		for {
-			ctx.Tick()
-		}
-	}, WithEngine(EngineStep))
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want %v", err, wantErr)
-	}
-}
-
-func TestAdapterMaxRounds(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		for {
-			ctx.Tick()
-		}
-	}, WithMaxRounds(10), WithEngine(EngineStep))
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	res := mustRunEngines(t, g, chatterProgram(12), WithSeed(99))
+	if res.Metrics.Messages == 0 || res.Metrics.SlotsCollision == 0 {
+		t.Errorf("chatter exercised too little: %+v", res.Metrics)
 	}
 }
 
@@ -428,7 +444,7 @@ func TestStepBarrierOnBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runBarrierBoth(t, g, func(c Node) Machine {
+	res := mustRunEngines(t, g, func(c Node) Machine {
 		b := NewStepBarrier(c)
 		seen := c.ID() == 0
 		return &stepFuncs{
@@ -473,39 +489,29 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-func TestAdapterInboxAppendSafe(t *testing.T) {
-	// The adapter delivers each round's messages in one arena per shard; a
-	// program appending to its Input.Msgs (always legal on the goroutine
-	// engine) must reallocate instead of overwriting the next recipient's
-	// window. Every node messages its successor, so all the round's inbox
-	// windows sit side by side in one arena.
-	g, err := graph.Ring(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := func(ctx *Ctx) error {
-		next := graph.NodeID((int(ctx.ID()) + 1) % ctx.N())
-		ctx.SendTo(next, int(ctx.ID())*100)
-		in := ctx.Tick()
-		// Abuse the API the way a legacy program may: grow the inbox slice.
-		grown := append(in.Msgs, Message{From: 99, EdgeID: 99, Payload: "junk"})
-		_ = grown
-		var sum int
-		for _, m := range in.Msgs {
-			sum += m.Payload.(int)
+func TestInboxAppendSafe(t *testing.T) {
+	// The step engine delivers each round's messages in one arena per shard;
+	// a machine appending to its Input.Msgs must reallocate instead of
+	// overwriting the next recipient's window. Every node messages its
+	// successor, so all the round's inbox windows sit side by side in one
+	// arena.
+	mustRunEngines(t, ring(t, 8), func(c Node) Machine {
+		sum := 0
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == 0 {
+					c.SendTo(graph.NodeID((int(c.ID())+1)%c.N()), int(c.ID())*100)
+					return false
+				}
+				// Abuse the API: grow the inbox slice.
+				grown := append(in.Msgs, Message{From: 99, EdgeID: 99, Payload: "junk"})
+				_ = grown
+				for _, m := range in.Msgs {
+					sum += m.Payload.(int)
+				}
+				return true
+			},
+			result: func() any { return sum },
 		}
-		ctx.SetResult(sum)
-		return nil
-	}
-	want, err := Run(g, prog, WithEngine(EngineGoroutine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(g, prog, WithEngine(EngineStep), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Results, got.Results) {
-		t.Errorf("results diverge after inbox append:\n goroutine: %v\n step:      %v", want.Results, got.Results)
-	}
+	})
 }

@@ -17,26 +17,26 @@ import (
 	"repro/internal/graph"
 )
 
-// transcriptProgram is a goroutine program exercising every frame feature:
+// transcriptProgram is a machine exercising every frame feature:
 // point-to-point sends (inbox digests), RNG draws, channel writes (success
 // and collision slots), and per-node halt rounds.
-func transcriptProgram(c *Ctx) error {
-	for r := 0; r < 8+int(c.ID()); r++ {
-		if c.Rand().Intn(3) == 0 {
-			c.Send((r+1)%c.Degree(), int(c.ID())*100+r)
-		}
-		if c.Rand().Intn(4) == 0 {
-			c.Broadcast(int(c.ID()))
-		}
-		in := c.Tick()
-		sum := 0
-		for _, m := range in.Msgs {
-			sum += m.Payload.(int)
-		}
-		_ = sum
+func transcriptProgram(c Node) Machine {
+	return &stepFuncs{
+		step: func(in Input) bool {
+			r := in.Round
+			if r == 8+int(c.ID()) {
+				return true
+			}
+			if c.Rand().Intn(3) == 0 {
+				c.Send((r+1)%c.Degree(), int(c.ID())*100+r)
+			}
+			if c.Rand().Intn(4) == 0 {
+				c.Broadcast(int(c.ID()))
+			}
+			return false
+		},
+		result: func() any { return int(c.ID()) },
 	}
-	c.SetResult(int(c.ID()))
-	return nil
 }
 
 // runTranscript runs the program with a transcript writer installed and
@@ -45,7 +45,7 @@ func runTranscript(t *testing.T, g *graph.Graph, opts ...Option) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := NewTranscriptWriter(&buf, false)
-	if _, err := Run(g, transcriptProgram, append([]Option{WithTranscript(tw)}, opts...)...); err != nil {
+	if _, err := RunStep(g, transcriptProgram, append([]Option{WithTranscript(tw)}, opts...)...); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -130,7 +130,7 @@ func TestTranscriptReaderRoundTrip(t *testing.T) {
 	last := rounds[len(rounds)-1]
 	// Re-run without a transcript: the final frame must agree with the
 	// run's native Result.
-	res, err := Run(g, transcriptProgram, WithSeed(9), WithEngine(EngineGoroutine))
+	res, err := RunStep(g, transcriptProgram, WithSeed(9), WithEngine(EngineGoroutine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTranscriptGzip(t *testing.T) {
 
 	var buf bytes.Buffer
 	tw := NewTranscriptWriter(&buf, true)
-	if _, err := Run(g, transcriptProgram, WithSeed(3), WithEngine(EngineGoroutine), WithTranscript(tw)); err != nil {
+	if _, err := RunStep(g, transcriptProgram, WithSeed(3), WithEngine(EngineGoroutine), WithTranscript(tw)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {

@@ -131,8 +131,7 @@ func TestStepChannelResolution(t *testing.T) {
 	}{
 		{"idle", nil, SlotIdle},
 		{"success", []graph.NodeID{2}, SlotSuccess},
-		{"collision two", []graph.NodeID{1, 3}, SlotCollision},
-		{"collision all", []graph.NodeID{0, 1, 2, 3, 4}, SlotCollision},
+		{"collision", []graph.NodeID{1, 3}, SlotCollision},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			writerSet := make(map[graph.NodeID]bool)

@@ -65,17 +65,20 @@ bench-quick:
 fuzz:
 	$(GO) test -fuzz FuzzEngineEquivalence -fuzztime 60s -run '^$$' .
 
-## fuzz-smoke: a bounded pass of the three fuzzers (CI's fuzz-smoke job) —
+## fuzz-smoke: a bounded pass of the four fuzzers (CI's fuzz-smoke job) —
 ## the fault-plan DSL parser (an error, never a panic), the engine
 ## differential fuzzer, whose protocol axis includes the paper's pipelines,
-## and the MMCP checkpoint reader plus Resume (an error or a result, never a
-## panic). The checkpoint fuzzer's inputs are multi-kilobyte gob bodies, so
-## the default 60 s minimization of each new interesting input would eat
-## its whole budget; it minimizes for 2 s instead.
+## the MMCP checkpoint reader plus Resume (an error or a result, never a
+## panic), and the MMTR transcript reader (an error, never a panic, and
+## allocation bounded by the bytes present). The two decoder fuzzers' inputs
+## are real checkpoints and transcripts of up to a few kilobytes, so the
+## default 60 s minimization of each new interesting input would eat their
+## whole budget; they minimize for 2 s instead.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzTranscriptReader -fuzztime 30s -fuzzminimizetime 2s ./internal/sim
 
 ## golden: regenerate the committed transcript fixtures (intentional
 ## determinism changes only)

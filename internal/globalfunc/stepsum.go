@@ -9,7 +9,11 @@ package globalfunc
 // goroutine engine's O(n · diameter) channel handoffs.
 
 import (
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -227,9 +231,134 @@ func (m *p2pMachine) finishRound() bool {
 
 func (m *p2pMachine) Result() any { return m.result }
 
-// p2pState is the checkpointable image of p2pMachine: every round-to-round
-// field, exported for gob. The op and StepCtx are reconstruction-time state
-// and stay out of the snapshot.
+// AppendState implements sim.Snapshotter: every round-to-round field, in
+// the fixed layout
+//
+//	flags byte | varint partial | varint result | varint parentLink |
+//	varint acksPending | varint reports | varint childCount |
+//	uvarint childMask | uvarint len(childOver) | uvarint each overflow link
+//
+// The child set round-trips exactly in ascending link order, which is
+// deterministic across worker counts. The operator and node handle are
+// reconstruction-time state and stay out of it.
+func (m *p2pMachine) AppendState(dst []byte) []byte {
+	dst = append(dst, m.flags)
+	dst = binary.AppendVarint(dst, m.partial)
+	dst = binary.AppendVarint(dst, m.result)
+	dst = binary.AppendVarint(dst, int64(m.parentLink))
+	dst = binary.AppendVarint(dst, int64(m.acksPending))
+	dst = binary.AppendVarint(dst, int64(m.reports))
+	dst = binary.AppendVarint(dst, int64(m.childCount))
+	dst = binary.AppendUvarint(dst, m.childMask)
+	var over []int32
+	if m.childOver != nil {
+		over = *m.childOver
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(over)))
+	for _, l := range over {
+		dst = binary.AppendUvarint(dst, uint64(l))
+	}
+	return dst
+}
+
+// RestoreState implements sim.Snapshotter, refusing bytes AppendState
+// could not have written.
+func (m *p2pMachine) RestoreState(src []byte) error {
+	r := stateReader{b: src}
+	flags := r.byte()
+	partial := r.varint()
+	result := r.varint()
+	parentLink := r.int32()
+	acksPending := r.int32()
+	reports := r.int32()
+	childCount := r.int32()
+	childMask := r.uvarint()
+	var over []int32
+	if k := r.uvarint(); r.err == nil && k > 0 {
+		if k > uint64(len(r.b)) {
+			return errors.New("globalfunc: p2p state child list overruns the state")
+		}
+		over = make([]int32, k)
+		for i := range over {
+			l := r.uvarint()
+			if l < 64 || l > math.MaxInt32 {
+				return fmt.Errorf("globalfunc: p2p state overflow child link %d", l)
+			}
+			over[i] = int32(l)
+		}
+	}
+	switch {
+	case r.err != nil:
+		return r.err
+	case len(r.b) != 0:
+		return fmt.Errorf("globalfunc: p2p state has %d trailing bytes", len(r.b))
+	case flags&^(p2pAdopted|p2pExplored|p2pSentUp|p2pResultSet) != 0:
+		return fmt.Errorf("globalfunc: p2p state flags %#x", flags)
+	}
+	m.flags, m.partial, m.result = flags, partial, result
+	m.parentLink, m.acksPending, m.reports, m.childCount = parentLink, acksPending, reports, childCount
+	m.childMask, m.childOver = childMask, nil
+	if over != nil {
+		m.childOver = &over
+	}
+	return nil
+}
+
+// stateReader walks AppendState bytes, latching the first error.
+type stateReader struct {
+	b   []byte
+	err error
+}
+
+func (r *stateReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *stateReader) byte() byte {
+	if len(r.b) == 0 {
+		r.fail(errors.New("globalfunc: p2p state truncated"))
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *stateReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail(errors.New("globalfunc: p2p state truncated"))
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *stateReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail(errors.New("globalfunc: p2p state truncated"))
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *stateReader) int32() int32 {
+	v := r.varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		r.fail(fmt.Errorf("globalfunc: p2p state field %d out of range", v))
+		return 0
+	}
+	return int32(v)
+}
+
+// p2pState is p2pMachine's state as version-1 checkpoints carried it: every
+// round-to-round field, exported for gob, with the child set as a plain
+// link list. Its AppendState writes the bytes the restored machine would,
+// which is how version-1 checkpoints still resume.
 type p2pState struct {
 	Partial     int64
 	Adopted     bool
@@ -243,59 +372,50 @@ type p2pState struct {
 	ResultSet   bool
 }
 
-// SnapshotState implements sim.Snapshotter: the returned state is a deep
-// copy, so the machine may keep mutating after capture. The wire struct
-// predates the bitmask layout (ChildLinks is a plain []int), keeping old
-// checkpoints restorable; the mask round-trips through it in ascending link
-// order, which is deterministic across worker counts.
-func (m *p2pMachine) SnapshotState() any {
-	var children []int
-	m.forEachChild(func(l int) { children = append(children, l) })
-	return p2pState{
-		Partial:     m.partial,
-		Adopted:     m.flags&p2pAdopted != 0,
-		Explored:    m.flags&p2pExplored != 0,
-		SentUp:      m.flags&p2pSentUp != 0,
-		ParentLink:  int(m.parentLink),
-		AcksPending: int(m.acksPending),
-		ChildLinks:  children,
-		Reports:     int(m.reports),
-		Result:      m.result,
-		ResultSet:   m.flags&p2pResultSet != 0,
-	}
-}
-
-// RestoreState implements sim.Snapshotter.
-func (m *p2pMachine) RestoreState(state any) {
-	s := state.(p2pState)
-	m.partial = s.Partial
-	m.flags = 0
+// AppendState renders the version-1 state in p2pMachine's byte layout.
+// Out-of-range fields are written as they are, for RestoreState to refuse.
+func (s p2pState) AppendState(dst []byte) []byte {
+	var flags uint8
 	if s.Adopted {
-		m.flags |= p2pAdopted
+		flags |= p2pAdopted
 	}
 	if s.Explored {
-		m.flags |= p2pExplored
+		flags |= p2pExplored
 	}
 	if s.SentUp {
-		m.flags |= p2pSentUp
+		flags |= p2pSentUp
 	}
 	if s.ResultSet {
-		m.flags |= p2pResultSet
+		flags |= p2pResultSet
 	}
-	m.parentLink = int32(s.ParentLink)
-	m.acksPending = int32(s.AcksPending)
-	m.childMask, m.childOver, m.childCount = 0, nil, 0
+	var mask uint64
+	var over []int
 	for _, l := range s.ChildLinks {
-		m.addChild(l)
+		if l >= 0 && l < 64 {
+			mask |= uint64(1) << l
+		} else {
+			over = append(over, l)
+		}
 	}
-	m.reports = int32(s.Reports)
-	m.result = s.Result
+	dst = append(dst, flags)
+	dst = binary.AppendVarint(dst, s.Partial)
+	dst = binary.AppendVarint(dst, s.Result)
+	dst = binary.AppendVarint(dst, int64(s.ParentLink))
+	dst = binary.AppendVarint(dst, int64(s.AcksPending))
+	dst = binary.AppendVarint(dst, int64(s.Reports))
+	dst = binary.AppendVarint(dst, int64(len(s.ChildLinks)))
+	dst = binary.AppendUvarint(dst, mask)
+	dst = binary.AppendUvarint(dst, uint64(len(over)))
+	for _, l := range over {
+		dst = binary.AppendUvarint(dst, uint64(l))
+	}
+	return dst
 }
 
 func init() {
-	// Everything this protocol can put in a checkpoint's `any` fields:
-	// machine state and the four wire payloads (in-flight messages live in
-	// checkpointed inboxes and delay buffers).
+	// Everything this protocol can put in a checkpoint's gob values: the
+	// version-1 machine state and the four wire payloads (in-flight messages
+	// live in checkpointed inboxes and delay buffers).
 	gob.Register(p2pState{})
 	gob.Register(p2pExplore{})
 	gob.Register(p2pAck{})

@@ -83,3 +83,59 @@ func TestComputeMachinesRefuseCheckpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestP2PStateBytes: p2pMachine's state bytes restore every round-to-round
+// field exactly (overflow child links included), version-1 p2pState values
+// render the same bytes, and malformed bytes are refused.
+func TestP2PStateBytes(t *testing.T) {
+	over := []int32{64, 70}
+	m := &p2pMachine{
+		partial: -5, result: 1 << 40, childMask: 0b1011, childOver: &over,
+		parentLink: 2, acksPending: 1, reports: 3, childCount: 5,
+		flags: p2pAdopted | p2pExplored,
+	}
+	raw := m.AppendState(nil)
+	var back p2pMachine
+	if err := back.RestoreState(raw); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, m) {
+		t.Errorf("restored %+v, want %+v", back, *m)
+	}
+	v1 := p2pState{
+		Partial: -5, Adopted: true, Explored: true, ParentLink: 2, AcksPending: 1,
+		ChildLinks: []int{0, 1, 3, 64, 70}, Reports: 3, Result: 1 << 40,
+	}
+	if got := v1.AppendState(nil); !reflect.DeepEqual(got, raw) {
+		t.Errorf("version-1 state renders %x, machine %x", got, raw)
+	}
+
+	for cut := range raw {
+		if err := back.RestoreState(raw[:cut]); err == nil {
+			t.Errorf("state truncated to %d of %d bytes restored", cut, len(raw))
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		s    p2pState
+	}{
+		{"negative child link", p2pState{ChildLinks: []int{-1}}},
+		{"parent link beyond int32", p2pState{ParentLink: 1 << 40}},
+	} {
+		if err := back.RestoreState(bad.s.AppendState(nil)); err == nil {
+			t.Errorf("%s restored", bad.name)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"trailing byte", append(raw[:len(raw):len(raw)], 0)},
+		{"unknown flag", append([]byte{0x10}, raw[1:]...)},
+		{"overflow link below 64", (&p2pMachine{childOver: &[]int32{10}}).AppendState(nil)},
+	} {
+		if err := back.RestoreState(tc.b); err == nil {
+			t.Errorf("%s restored", tc.name)
+		}
+	}
+}

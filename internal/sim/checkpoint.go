@@ -1,44 +1,34 @@
 package sim
 
-// checkpoint.go is the step engine's checkpoint/restore seam: a versioned,
-// self-describing binary snapshot of everything transcript-affecting at a
-// round boundary, from which Resume continues the run bit-identically — the
-// transcript of a checkpointed-and-resumed run stitches onto the original's
-// prefix to exactly the bytes of an uninterrupted run (difftest-enforced).
+// checkpoint.go is the step engine's checkpoint/restore seam: a versioned
+// binary snapshot of everything transcript-affecting at a round boundary,
+// from which Resume continues the run bit-identically — the transcript of a
+// checkpointed-and-resumed run stitches onto the original's prefix to
+// exactly the bytes of an uninterrupted run (difftest-enforced).
 //
 // A checkpoint is captured at the top of a round iteration, coordinator-side
 // with every worker parked at the phase gate, and records: the round and
 // cumulative Metrics, the slot the next step phase will observe, per-node
-// scheduler flags and results, per-node machine state (through the optional
-// Snapshotter interface, with a gob fallback for machines with exported
-// fields), per-node RNG positions (draw counts — see rng.go), undelivered
-// inboxes, and the engine's in-flight delay/dup buffer. All of it is stored
-// in canonical, shard-independent form — awake sets as per-node flags,
-// pending messages sorted by (due, to, from, edge, payload) — so the same
-// run checkpointed at the same round produces byte-identical checkpoints at
-// any worker count, which is what cmd/mmreplay's bisector compares.
+// scheduler flags and results, per-node machine state (as bytes, through the
+// optional Snapshotter interface, with a gob fallback for machines with
+// exported fields), per-node RNG positions (draw counts — see rng.go),
+// undelivered inboxes, and the engine's in-flight delay/dup buffer. All of
+// it is stored in canonical, shard-independent form — awake sets as per-node
+// flags, pending messages sorted by (due, to, from, edge, payload) — so the
+// same run checkpointed at the same round produces byte-identical
+// checkpoints at any worker count, which is what cmd/mmreplay's bisector
+// compares.
 //
 // What cannot checkpoint: the goroutine engine (blocked goroutine stacks
 // are not serializable — it returns ErrNotCheckpointable), and machines
 // that neither implement Snapshotter nor gob-encode. Resume always runs the
-// step engine.
-//
-// # Wire format (version 1)
-//
-//	"MMCP" | version byte | uvarint bodyLen | gob(Checkpoint) | crc32-IEEE(body), 4 bytes LE
-//
-// The gob body is self-describing; payload, result, and machine-state
-// values carried in `any` fields must be gob-registered by their protocol
-// packages (init-time gob.Register calls).
+// step engine. The MMCP wire format is described in checkpoint_codec.go.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -47,29 +37,25 @@ import (
 	"repro/internal/graph"
 )
 
-// CheckpointVersion is the checkpoint wire format version this package
-// writes.
-const CheckpointVersion = 1
-
-const checkpointMagic = "MMCP"
-
 // ErrNotCheckpointable is returned when checkpointing is requested of the
 // goroutine engine, whose node state lives in goroutine stacks. Run the
 // step engine to checkpoint.
 var ErrNotCheckpointable = errors.New("sim: goroutine programs cannot be checkpointed; use a native step program on the step engine")
 
 // Snapshotter is the optional interface a Machine implements to make its
-// runs checkpointable. SnapshotState returns an independent copy of the
-// machine's round-to-round state (the machine keeps mutating after the
-// capture, so shared slices or maps must be cloned); the returned value's
-// concrete type must be gob-registered. RestoreState receives a value
-// SnapshotState produced and overwrites the machine's state with it, after
-// which stepping must continue exactly as the snapshotted machine would
-// have. Machines without Snapshotter fall back to gob-encoding the machine
-// value itself, which works only for machines whose state is exported.
+// runs checkpointable. AppendState appends the machine's round-to-round
+// state to dst in a byte form of the machine's own choosing and returns the
+// extended slice; the bytes must be a pure function of that state, since
+// equal runs must produce byte-equal checkpoints. RestoreState receives
+// bytes AppendState produced and overwrites the machine's state with them,
+// after which stepping must continue exactly as the snapshotted machine
+// would have; it returns an error for bytes it cannot decode (a damaged
+// checkpoint, or one captured from another program). Machines without
+// Snapshotter fall back to gob-encoding the machine value itself, which
+// works only for machines whose state is exported.
 type Snapshotter interface {
-	SnapshotState() any
-	RestoreState(state any)
+	AppendState(dst []byte) []byte
+	RestoreState(src []byte) error
 }
 
 // CheckpointSpec configures checkpoint capture for a run.
@@ -92,11 +78,15 @@ func WithCheckpoints(spec *CheckpointSpec) Option {
 	return func(c *config) { c.ckpt = spec }
 }
 
-// ckptState is the engine's compiled capture schedule.
+// ckptState is the engine's compiled capture schedule, plus scratch reused
+// across captures.
 type ckptState struct {
 	spec  *CheckpointSpec
 	every int
 	at    []int // sorted ascending
+
+	ends      []int // per-node end offsets into the capture's state buffer
+	stateHint int   // the previous capture's state bytes: the next buffer's size
 }
 
 func newCkptState(spec *CheckpointSpec) *ckptState {
@@ -158,20 +148,21 @@ type NodeCheckpoint struct {
 	Scheduled bool
 	Asleep    bool
 	PulseWake bool
+	Crashed   bool // fault-crashed, so revivable by a restart rule
+	HasRNG    bool
+	HasState  bool
 
-	HasRNG   bool
 	RNGDraws uint64 // generator position: source draws consumed so far
 
-	// Crash-restart state; all zero for runs without restart rules, which
-	// keeps old checkpoints decoding unchanged (gob zero defaults).
-	Crashed     bool // fault-crashed, so revivable by a restart rule
-	Incarnation int  // restart count; keys the incarnation's RNG stream
-	RoundBase   int  // global round the current incarnation joined at
+	// Crash-restart state; all zero for runs without restart rules.
+	Incarnation int // restart count; keys the incarnation's RNG stream
+	RoundBase   int // global round the current incarnation joined at
 
 	Result any // recorded result (halted nodes); nil otherwise
 
-	HasState bool
-	State    any    // Snapshotter state, when the machine implements it
+	// Machine state, nil for halted nodes. A capture slices both from one
+	// shared buffer.
+	State    []byte // Snapshotter.AppendState bytes, when HasState
 	GobState []byte // gob fallback: the machine value itself
 }
 
@@ -209,88 +200,6 @@ type Checkpoint struct {
 	Pending []PendingCheckpoint
 }
 
-// WriteTo streams the checkpoint in the versioned binary encoding.
-func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(cp); err != nil {
-		return 0, fmt.Errorf("sim: encode checkpoint: %w", err)
-	}
-	var hdr []byte
-	hdr = append(hdr, checkpointMagic...)
-	hdr = append(hdr, CheckpointVersion)
-	hdr = binary.AppendUvarint(hdr, uint64(body.Len()))
-	total := int64(0)
-	for _, chunk := range [][]byte{hdr, body.Bytes(), crcOf(body.Bytes())} {
-		n, err := w.Write(chunk)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func crcOf(b []byte) []byte {
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b))
-	return crc[:]
-}
-
-// Encode renders the checkpoint to its binary form in memory.
-func (cp *Checkpoint) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := cp.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// ReadCheckpoint decodes one checkpoint, validating magic, version, and crc.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var prelude [5]byte
-	if _, err := io.ReadFull(r, prelude[:]); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint prelude: %w", err)
-	}
-	if string(prelude[:4]) != checkpointMagic {
-		return nil, fmt.Errorf("sim: not a checkpoint (magic %q)", prelude[:4])
-	}
-	if prelude[4] != CheckpointVersion {
-		return nil, fmt.Errorf("sim: checkpoint version %d (reader supports %d)", prelude[4], CheckpointVersion)
-	}
-	size, err := binary.ReadUvarint(byteReaderOf(r))
-	if err != nil {
-		return nil, fmt.Errorf("sim: checkpoint length: %w", err)
-	}
-	if size > 1<<34 {
-		return nil, fmt.Errorf("sim: checkpoint length %d implausible", size)
-	}
-	chunks, err := readBody(r, size)
-	var trailer [4]byte
-	if err == nil {
-		if _, err = io.ReadFull(r, trailer[:]); err == io.EOF && size > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim: checkpoint body: %w", err)
-	}
-	// The body is checked and decoded straight from its chunks.
-	var got uint32
-	parts := make([]io.Reader, len(chunks))
-	for i, c := range chunks {
-		got = crc32.Update(got, crc32.IEEETable, c)
-		parts[i] = bytes.NewReader(c)
-	}
-	if want := binary.LittleEndian.Uint32(trailer[:]); got != want {
-		return nil, fmt.Errorf("sim: checkpoint crc mismatch: %08x != %08x", got, want)
-	}
-	cp := &Checkpoint{}
-	if err := gob.NewDecoder(io.MultiReader(parts...)).Decode(cp); err != nil {
-		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
-	}
-	return cp, nil
-}
-
 // topologyDigest fingerprints the adjacency structure a checkpoint's state
 // refers to: node and edge counts plus every node's link order (neighbor and
 // edge id). Edge identities and link indices appear throughout the captured
@@ -305,9 +214,17 @@ func topologyDigest(g graph.Topology) uint64 {
 	n := g.N()
 	mix(uint64(n))
 	mix(uint64(g.M()))
-	var buf []graph.Half
+	imp, _ := g.(*graph.Implicit)
+	var (
+		buf     []graph.Half
+		scratch graph.AdjScratch
+	)
 	for v := 0; v < n; v++ {
-		buf = g.AdjAppend(graph.NodeID(v), buf[:0])
+		if imp != nil {
+			buf = imp.AdjInto(graph.NodeID(v), buf[:0], &scratch)
+		} else {
+			buf = g.AdjAppend(graph.NodeID(v), buf[:0])
+		}
 		mix(uint64(len(buf)))
 		for _, half := range buf {
 			mix(uint64(half.To))
@@ -348,6 +265,11 @@ func (e *stepEngine) writeCheckpoint(round int) error {
 		// what the zero Slot means to machines.
 		cp.Slot.State = SlotIdle
 	}
+	// Machine states are appended to one buffer, sized from the previous
+	// capture; ends[v] is where node v's state stops.
+	ck := e.ck
+	ends := slices.Grow(ck.ends[:0], n)[:n]
+	states := make([]byte, 0, ck.stateHint)
 	for v := range e.nodes {
 		fl := e.flags[v]
 		ns := &cp.Nodes[v]
@@ -368,19 +290,33 @@ func (e *stepEngine) writeCheckpoint(round int) error {
 			ns.RoundBase = int(e.roundBase[v])
 		}
 		ns.Result = e.results[v]
-		if ns.Halted {
-			continue // dead machines are never stepped again; no state needed
+		// Dead machines are never stepped again; they need no state.
+		if !ns.Halted {
+			if snap, ok := e.machines[v].(Snapshotter); ok {
+				ns.HasState = true
+				states = snap.AppendState(states)
+			} else {
+				gw := appendWriter{states}
+				if err := gob.NewEncoder(&gw).Encode(e.machines[v]); err != nil {
+					return fmt.Errorf("machine %T of node %d: not a sim.Snapshotter and the gob fallback failed: %w", e.machines[v], v, err)
+				}
+				states = gw.b
+			}
 		}
-		if snap, ok := e.machines[v].(Snapshotter); ok {
-			ns.HasState = true
-			ns.State = snap.SnapshotState()
-			continue
+		ends[v] = len(states)
+	}
+	// Slice the shared buffer only now that it has stopped growing.
+	ck.ends, ck.stateHint = ends, len(states)
+	start := 0
+	for v, end := range ends {
+		if ns := &cp.Nodes[v]; end > start {
+			if ns.HasState {
+				ns.State = states[start:end:end]
+			} else {
+				ns.GobState = states[start:end:end]
+			}
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(e.machines[v]); err != nil {
-			return fmt.Errorf("machine %T of node %d: not a sim.Snapshotter and the gob fallback failed: %w", e.machines[v], v, err)
-		}
-		ns.GobState = buf.Bytes()
+		start = end
 	}
 	for v := range e.nodes {
 		box := e.inboxOf(graph.NodeID(v))
@@ -552,13 +488,24 @@ func restoreMachine(m Machine, v int, ns *NodeCheckpoint) (err error) {
 		if !ok {
 			return fmt.Errorf("sim: checkpoint has Snapshotter state for node %d but machine %T does not implement it", v, m)
 		}
-		snap.RestoreState(ns.State)
+		if err := snap.RestoreState(ns.State); err != nil {
+			return fmt.Errorf("sim: restore machine %T of node %d: %w", m, v, err)
+		}
 	case len(ns.GobState) > 0:
 		if err := gob.NewDecoder(bytes.NewReader(ns.GobState)).Decode(m); err != nil {
 			return fmt.Errorf("sim: restore machine %T of node %d: %w", m, v, err)
 		}
 	}
 	return nil
+}
+
+// appendWriter is an io.Writer appending to a byte slice: the gob fallback
+// encodes a machine straight into the capture's shared state buffer.
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
 // checkLink validates a checkpointed message: its edge exists and joins

@@ -12,7 +12,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -50,18 +55,33 @@ func (m *ckptMachine) Step(in Input) bool {
 
 func (m *ckptMachine) Result() any { return m.sum }
 
+func (m *ckptMachine) AppendState(dst []byte) []byte {
+	return ckptMachineState{Rounds: m.rounds, Sum: m.sum}.AppendState(dst)
+}
+
+func (m *ckptMachine) RestoreState(src []byte) error {
+	rounds, n := binary.Uvarint(src)
+	if n <= 0 {
+		return errors.New("ckptMachine: state truncated")
+	}
+	sum, k := binary.Uvarint(src[n:])
+	if k <= 0 || n+k != len(src) {
+		return errors.New("ckptMachine: malformed state")
+	}
+	m.rounds, m.sum = int(rounds), sum
+	return nil
+}
+
+// ckptMachineState is ckptMachine's state as version-1 checkpoints (the
+// committed fuzz corpus) carry it.
 type ckptMachineState struct {
 	Rounds int
 	Sum    uint64
 }
 
-func (m *ckptMachine) SnapshotState() any {
-	return ckptMachineState{Rounds: m.rounds, Sum: m.sum}
-}
-
-func (m *ckptMachine) RestoreState(state any) {
-	s := state.(ckptMachineState)
-	m.rounds, m.sum = s.Rounds, s.Sum
+func (s ckptMachineState) AppendState(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(s.Rounds))
+	return binary.AppendUvarint(dst, s.Sum)
 }
 
 func init() {
@@ -221,43 +241,71 @@ func TestCheckpointFaultedResume(t *testing.T) {
 func TestCheckpointPortableAcrossWorkers(t *testing.T) {
 	g := ring(t, 16)
 	prog := ckptProgram(24)
-	capture := func(w int) *Checkpoint {
-		var cps []*Checkpoint
-		spec := &CheckpointSpec{At: []int{10}, Sink: collectCheckpoints(&cps)}
-		if _, err := RunStep(g, prog, WithSeed(7), WithWorkers(w), WithCheckpoints(spec)); err != nil {
-			t.Fatal(err)
+	// The faulted capture at round 26 has pending delayed messages, node 3
+	// restarted (incarnation and round-base columns), node 5 crashed, and
+	// the other nodes halted with results.
+	restarts, err := fault.Parse("seed:4;crash:3@4;restart:3@9;crash:5@20;restart:5@40;delay:*@2-30/d3/p0.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		plan  *fault.Plan
+		round int
+	}{{"fault-free", nil, 10}, {"crash-restart+delay", restarts, 26}} {
+		var want []byte
+		for _, w := range []int{1, 2, 4} {
+			var cps []*Checkpoint
+			spec := &CheckpointSpec{At: []int{tc.round}, Sink: collectCheckpoints(&cps)}
+			if _, err := RunStep(g, prog, WithSeed(7), WithFaults(tc.plan), WithWorkers(w), WithCheckpoints(spec)); err != nil {
+				t.Fatal(err)
+			}
+			if len(cps) != 1 {
+				t.Fatalf("%s w%d: %d checkpoints", tc.name, w, len(cps))
+			}
+			cp := cps[0]
+			if tc.plan != nil {
+				results, restarted, crashed := 0, 0, 0
+				for _, ns := range cp.Nodes {
+					if ns.Halted && ns.Result != nil {
+						results++
+					}
+					if ns.Incarnation > 0 {
+						restarted++
+					}
+					if ns.Crashed {
+						crashed++
+					}
+				}
+				if results == 0 || restarted == 0 || crashed == 0 || len(cp.Pending) == 0 {
+					t.Fatalf("%s w%d: capture has %d results, %d restarted and %d crashed nodes, %d pending messages; want all nonzero",
+						tc.name, w, results, restarted, crashed, len(cp.Pending))
+				}
+			}
+			raw, err := cp.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = raw
+			} else if !bytes.Equal(raw, want) {
+				t.Errorf("%s w%d: checkpoint bytes differ from workers=1's — canonical form broken", tc.name, w)
+			}
+			back, err := ReadCheckpoint(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, cp) {
+				t.Errorf("%s w%d: checkpoint round-trip changed the value", tc.name, w)
+			}
 		}
-		if len(cps) != 1 {
-			t.Fatalf("w%d: %d checkpoints", w, len(cps))
+
+		// Corruption: any flipped body byte must fail the crc.
+		bad := bytes.Clone(want)
+		bad[len(bad)-6] ^= 1
+		if _, err := ReadCheckpoint(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: corrupted checkpoint read cleanly", tc.name)
 		}
-		return cps[0]
-	}
-	a, b := capture(1), capture(4)
-	ab, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ab, bb) {
-		t.Error("checkpoint bytes differ between worker counts — canonical form broken")
-	}
-
-	back, err := ReadCheckpoint(bytes.NewReader(ab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, a) {
-		t.Error("checkpoint round-trip changed the value")
-	}
-
-	// Corruption: any flipped body byte must fail the crc.
-	bad := bytes.Clone(ab)
-	bad[len(bad)-6] ^= 1
-	if _, err := ReadCheckpoint(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupted checkpoint read cleanly")
 	}
 }
 
@@ -289,7 +337,7 @@ func TestCheckpointDuringFastForward(t *testing.T) {
 }
 
 // sleeperMachine wedges the network: node 0 halts at once, everyone else
-// sleeps forever. Its state is empty, which also covers nil Snapshotter
+// sleeps forever. Its state is empty, which also covers empty Snapshotter
 // states through the checkpoint encoding.
 type sleeperMachine struct{ c Node }
 
@@ -301,9 +349,15 @@ func (m *sleeperMachine) Step(Input) bool {
 	return false
 }
 
-func (m *sleeperMachine) Result() any        { return nil }
-func (m *sleeperMachine) SnapshotState() any { return nil }
-func (m *sleeperMachine) RestoreState(any)   {}
+func (m *sleeperMachine) Result() any                   { return nil }
+func (m *sleeperMachine) AppendState(dst []byte) []byte { return dst }
+
+func (m *sleeperMachine) RestoreState(src []byte) error {
+	if len(src) != 0 {
+		return errors.New("sleeperMachine: state is empty")
+	}
+	return nil
+}
 
 func TestCheckpointGobFallbackMachine(t *testing.T) {
 	// A machine with exported state but no Snapshotter checkpoints through
@@ -479,21 +533,21 @@ func pendingFrom(cp *Checkpoint, after int) PendingCheckpoint {
 }
 
 // FuzzReadCheckpoint feeds mutated MMCP bodies through ReadCheckpoint and
-// Resume. Each input is a gob body, framed with the magic, version, length,
-// and a freshly computed crc32, so mutations reach gob decoding and
-// restore's semantic checks instead of dying at the checksum. The contract:
-// an error or a result, never a panic. The committed corpus under
-// testdata/fuzz/FuzzReadCheckpoint holds real captures of ckptProgram(10)
-// on this 8-ring with seed 2 at rounds 3 and 6, fault-free (capture-r*) and
-// under seed:3;delay:*@2-8/d3/p0.5 with 10 and 15 messages pending
-// (capture-delay-r*), plus every crasher the fuzzer has found.
+// Resume. The input picks the version: one that opens with the magic is
+// "MMCP" | version byte | body, and any other input is a version-1 body (the
+// form of the original corpus). Either way the body is framed with the
+// magic, the version, its length, and a freshly computed crc32, so mutations
+// reach the body decoders and restore's semantic checks instead of dying at
+// the checksum. The contract: an error or a result, never a panic. The
+// committed corpus under testdata/fuzz/FuzzReadCheckpoint holds real
+// captures of ckptProgram(10) on this 8-ring with seed 2 at rounds 3 and 6,
+// fault-free (capture-r*) and under seed:3;delay:*@2-8/d3/p0.5 with 10 and
+// 15 messages pending (capture-delay-r*), as version-1 bodies and as
+// version-2 inputs (v2-*), plus every crasher the fuzzer has found.
 func FuzzReadCheckpoint(f *testing.F) {
 	g := ring(f, 8)
-	f.Fuzz(func(t *testing.T, body []byte) {
-		framed := append([]byte(checkpointMagic), CheckpointVersion)
-		framed = binary.AppendUvarint(framed, uint64(len(body)))
-		framed = append(append(framed, body...), crcOf(body)...)
-		cp, err := ReadCheckpoint(bytes.NewReader(framed))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		cp, err := ReadCheckpoint(bytes.NewReader(frameFuzzInput(in)))
 		if err != nil {
 			return
 		}
@@ -502,4 +556,206 @@ func FuzzReadCheckpoint(f *testing.F) {
 		cp.MaxRounds = min(cp.MaxRounds, cp.Round+64)
 		_, _ = Resume(g, ckptProgram(10), cp, WithWorkers(2))
 	})
+}
+
+// frameFuzzInput frames one FuzzReadCheckpoint input as an MMCP file.
+func frameFuzzInput(in []byte) []byte {
+	version, body := byte(1), in
+	if len(in) >= len(checkpointMagic)+1 && string(in[:len(checkpointMagic)]) == checkpointMagic {
+		version, body = in[len(checkpointMagic)], in[len(checkpointMagic)+1:]
+	}
+	framed := append([]byte(checkpointMagic), version)
+	framed = binary.AppendUvarint(framed, uint64(len(body)))
+	return append(append(framed, body...), crcOf(body)...)
+}
+
+// readFuzzCorpus returns the committed FuzzReadCheckpoint inputs by file
+// name.
+func readFuzzCorpus(t *testing.T) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadCheckpoint")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := make(map[string][]byte)
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" || !strings.HasPrefix(lines[1], "[]byte(") {
+			t.Fatalf("%s: not a one-value []byte corpus entry", f.Name())
+		}
+		in, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		corpus[f.Name()] = []byte(in)
+	}
+	return corpus
+}
+
+// TestCheckpointFuzzCorpusVersions: the committed version-1 captures still
+// decode through the version-1 path into exactly the checkpoints their
+// version-2 twins decode to, and both resume.
+func TestCheckpointFuzzCorpusVersions(t *testing.T) {
+	g := ring(t, 8)
+	corpus := readFuzzCorpus(t)
+	for _, name := range []string{"capture-r3", "capture-r6", "capture-delay-r3", "capture-delay-r6"} {
+		v1, v2 := frameFuzzInput(corpus[name]), frameFuzzInput(corpus["v2-"+name])
+		if v1[4] != 1 || v2[4] != CheckpointVersion {
+			t.Fatalf("%s: versions %d and %d, want 1 and %d", name, v1[4], v2[4], CheckpointVersion)
+		}
+		a, err := ReadCheckpoint(bytes.NewReader(v1))
+		if err != nil {
+			t.Fatalf("%s (version 1): %v", name, err)
+		}
+		b, err := ReadCheckpoint(bytes.NewReader(v2))
+		if err != nil {
+			t.Fatalf("%s (version 2): %v", name, err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: version-1 and version-2 captures decode differently", name)
+		}
+		if _, err := Resume(g, ckptProgram(10), a); err != nil {
+			t.Errorf("%s: resume: %v", name, err)
+		}
+		// Re-encoding the version-1 capture writes its version-2 twin.
+		enc, err := a.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, v2) {
+			t.Errorf("%s: version-1 capture re-encodes to other bytes than its version-2 twin", name)
+		}
+	}
+}
+
+// TestCheckpointV2RefusesDamagedBodies: every truncation of a version-2
+// body, and bodies with inconsistent counts, flags, or value groups, fail
+// with an error (the crc is recomputed, so the body decoder itself must
+// catch them), and a short body declaring 2³¹ nodes fails before anything
+// is sized by the claim.
+func TestCheckpointV2RefusesDamagedBodies(t *testing.T) {
+	in := readFuzzCorpus(t)["v2-capture-delay-r6"]
+	body := in[len(checkpointMagic)+1:]
+	reframe := func(b []byte) []byte {
+		return frameFuzzInput(append([]byte(checkpointMagic+"\x02"), b...))
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(reframe(body))); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := ReadCheckpoint(bytes.NewReader(reframe(body[:cut]))); err == nil {
+			t.Fatalf("body truncated to %d of %d bytes decoded", cut, len(body))
+		}
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(reframe(append(slices.Clone(body), 0)))); err == nil {
+		t.Error("body with a trailing byte decoded")
+	}
+
+	// Header fields up to the node count: round 6, then n.
+	hostile := binary.AppendUvarint([]byte{6}, 1<<31)
+	hostile = append(hostile, make([]byte, 64)...)
+	var err error
+	if n := allocatedBy(func() { _, err = ReadCheckpoint(bytes.NewReader(reframe(hostile))) }); n >= 1<<20 {
+		t.Errorf("a %d-byte body declaring 2^31 nodes allocated %d bytes", len(hostile), n)
+	}
+	if err == nil {
+		t.Error("a short body declaring 2^31 nodes decoded")
+	}
+
+	flagsAt := nodeFlagsOffset(t, body)
+	for _, tc := range []struct {
+		at   int
+		b    byte
+		want string
+	}{
+		{flagsAt, 0x80, "unknown flags"},
+		{flagsAt - 3, 0x02, "unknown body flags"}, // before the slot's state and writer bytes
+	} {
+		b := slices.Clone(body)
+		b[tc.at] = tc.b
+		if _, err := ReadCheckpoint(bytes.NewReader(reframe(b))); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("byte %d set to %#x: err = %v, want %q", tc.at, tc.b, err, tc.want)
+		}
+	}
+}
+
+// nodeFlagsOffset walks a version-2 body's header and slot, returning where
+// the node-flags column starts.
+func nodeFlagsOffset(t *testing.T, body []byte) int {
+	t.Helper()
+	d := frameDecoder{b: body}
+	d.uvarint()          // round
+	d.uvarint()          // n
+	d.uint64()           // graph digest
+	d.uvarint()          // seed
+	d.bytes(d.uvarint()) // plan
+	d.uvarint()          // max rounds
+	d.uvarint()          // alive
+	decodeMetrics(&d, &Metrics{})
+	d.byte()    // body flags
+	d.uvarint() // slot state
+	d.uvarint() // slot writer
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	return len(body) - len(d.b)
+}
+
+// TestDecodeValuesRefusesInconsistentSections: the values section decodes
+// back to its slots, and fails when the slot count, a group index, or a
+// group's length disagrees with the rest.
+func TestDecodeValuesRefusesInconsistentSections(t *testing.T) {
+	slotVals := []any{ckptToken{V: 1}, nil, int64(7), ckptToken{V: 2}}
+	encode := func(vals []any) (*valueEncoder, []byte) {
+		var ve valueEncoder
+		for _, v := range vals {
+			ve.add(v)
+		}
+		b, err := ve.appendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &ve, b
+	}
+	ve, good := encode(slotVals)
+	d := frameDecoder{b: good}
+	got, err := decodeValues(&d, len(slotVals))
+	if err != nil || !reflect.DeepEqual(got, slotVals) {
+		t.Fatalf("round trip: %#v, %v", got, err)
+	}
+	for _, slots := range []int{len(slotVals) - 1, len(slotVals) + 1} {
+		d := frameDecoder{b: good}
+		if _, err := decodeValues(&d, slots); err == nil && d.err == nil {
+			t.Errorf("%d-slot section decoded as %d slots", len(slotVals), slots)
+		}
+	}
+	// Group indices follow the one-byte group count.
+	bad := slices.Clone(good)
+	bad[1+len(ve.idx)-1] = 3
+	if _, err := decodeValues(&frameDecoder{b: bad}, len(slotVals)); err == nil || !strings.Contains(err.Error(), "names group 3") {
+		t.Errorf("slot naming group 3 of 2: err = %v", err)
+	}
+	// A byte after the last group inside the gob stream.
+	gd := frameDecoder{b: good[1+len(ve.idx):]}
+	gobSec := gd.bytes(gd.uvarint())
+	padded := append(slices.Clone(good[:1+len(ve.idx)]), binary.AppendUvarint(nil, uint64(len(gobSec)+1))...)
+	padded = append(append(padded, gobSec...), 0)
+	if _, err := decodeValues(&frameDecoder{b: padded}, len(slotVals)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("gob stream with a trailing byte: err = %v", err)
+	}
+	// The indices of one section over the gob stream of another, whose
+	// first group holds three tokens instead of two.
+	ov, other := encode([]any{ckptToken{V: 1}, nil, int64(7), ckptToken{V: 2}, ckptToken{V: 3}})
+	od := frameDecoder{b: other[1+len(ov.idx):]}
+	otherGob := od.bytes(od.uvarint())
+	spliced := append(slices.Clone(good[:1+len(ve.idx)]), binary.AppendUvarint(nil, uint64(len(otherGob)))...)
+	spliced = append(spliced, otherGob...)
+	if _, err := decodeValues(&frameDecoder{b: spliced}, len(slotVals)); err == nil || !strings.Contains(err.Error(), "holds 3 values") {
+		t.Errorf("group holding more values than its slots: err = %v", err)
+	}
 }

@@ -359,10 +359,28 @@ func (tw *TranscriptWriter) Close() error {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// frameDecoder walks one frame body, latching the first error.
+// frameDecoder walks one frame body (a transcript frame's or a checkpoint's),
+// latching the first error.
 type frameDecoder struct {
 	b   []byte
 	err error
+}
+
+// errTruncated is the error of a frame body that ends early.
+var errTruncated = errors.New("sim: truncated frame body")
+
+// count reads a uvarint element count and checks it against the bytes left,
+// each element taking at least minBytes: a corrupt count fails here instead
+// of sizing an allocation.
+func (d *frameDecoder) count(minBytes int) int {
+	k := d.uvarint()
+	if d.err == nil && k > uint64(len(d.b)/minBytes) {
+		d.err = fmt.Errorf("sim: count %d exceeds the %d bytes left", k, len(d.b))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(k)
 }
 
 func (d *frameDecoder) uvarint() uint64 {
@@ -371,7 +389,7 @@ func (d *frameDecoder) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		d.err = errors.New("sim: transcript frame truncated")
+		d.err = errTruncated
 		return 0
 	}
 	d.b = d.b[n:]
@@ -383,7 +401,7 @@ func (d *frameDecoder) byte() byte {
 		return 0
 	}
 	if len(d.b) == 0 {
-		d.err = errors.New("sim: transcript frame truncated")
+		d.err = errTruncated
 		return 0
 	}
 	v := d.b[0]
@@ -396,7 +414,7 @@ func (d *frameDecoder) uint64() uint64 {
 		return 0
 	}
 	if len(d.b) < 8 {
-		d.err = errors.New("sim: transcript frame truncated")
+		d.err = errTruncated
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b)
@@ -409,7 +427,7 @@ func (d *frameDecoder) bytes(n uint64) []byte {
 		return nil
 	}
 	if uint64(len(d.b)) < n {
-		d.err = errors.New("sim: transcript frame truncated")
+		d.err = errTruncated
 		return nil
 	}
 	v := d.b[:n]
@@ -574,13 +592,10 @@ func (tr *TranscriptReader) Next() (*RoundFrame, *FinalFrame, error) {
 		}
 		f.Alive = int(d.uvarint())
 		decodeMetrics(&d, &f.Met)
-		k := d.uvarint()
-		if k > uint64(len(body)) { // each entry is ≥ 9 bytes; cheap bound
-			return nil, nil, errors.New("sim: transcript node count implausible")
-		}
+		k := d.count(9) // a node-id delta and an 8-byte digest each
 		f.Nodes = make([]NodeDigest, 0, k)
 		node := graph.NodeID(0)
-		for i := uint64(0); i < k; i++ {
+		for range k {
 			node += graph.NodeID(d.uvarint())
 			f.Nodes = append(f.Nodes, NodeDigest{Node: node, Digest: d.uint64()})
 		}

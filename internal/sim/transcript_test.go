@@ -7,10 +7,11 @@ package sim
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"io"
 	"reflect"
-	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/fault"
@@ -237,13 +238,18 @@ func TestTranscriptCorruptionDetected(t *testing.T) {
 	}
 }
 
-// allocatedBy returns the bytes the heap allocated while f ran.
+// allocatedBy returns the bytes the heap allocated while f ran, read from
+// runtime/metrics, which unlike ReadMemStats does not stop the world (so
+// the fuzzers can call it on every input). Small objects count when their
+// span is handed to the allocating P, so the figure runs at most a few spans
+// high.
 func allocatedBy(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	before := s[0].Value.Uint64()
 	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	metrics.Read(s)
+	return s[0].Value.Uint64() - before
 }
 
 // TestDecodersBoundAllocationByInput: a length prefix is only a claim. A
@@ -381,4 +387,54 @@ func scanFrames(t *testing.T, raw []byte) (offsets []int, roundsOf []int) {
 		t.Fatalf("trailing garbage: %d bytes", len(raw)-off)
 	}
 	return offsets, roundsOf
+}
+
+// FuzzTranscriptReader feeds arbitrary bytes to the MMTR reader. The
+// contract: NewTranscriptReader and Next return an error (io.EOF at the
+// end), never panic, and allocate in proportion to the bytes present — the
+// input itself, or for a gzip stream its decompressed bytes — never to a
+// length or count the stream merely claims. The committed corpus under
+// testdata/fuzz/FuzzTranscriptReader holds the plain and gzip transcripts
+// of a small faulted census, written by
+//
+//	mmnet -graph ring:12 -algo census -seed 3 \
+//	    -faults 'seed:5;delay:*@2-10/d2/p0.3;jam:1-8' -transcript census.mmtr[.gz]
+func FuzzTranscriptReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		present := len(in)
+		if len(in) > 6 && in[5]&tflagGzip != 0 {
+			present = 6 + gunzippedLen(in[6:])
+		}
+		frames := 0
+		var err error
+		n := allocatedBy(func() {
+			var tr *TranscriptReader
+			if tr, err = NewTranscriptReader(bytes.NewReader(in)); err != nil {
+				return
+			}
+			for {
+				if _, _, err = tr.Next(); err != nil {
+					return
+				}
+				frames++
+			}
+		})
+		if err == nil {
+			t.Fatal("reader ended without an error or io.EOF")
+		}
+		if limit := 1<<20 + 64*uint64(present); n > limit {
+			t.Errorf("reading %d frames from %d bytes present allocated %d bytes (limit %d)", frames, present, n, limit)
+		}
+	})
+}
+
+// gunzippedLen returns how many bytes a (possibly damaged) gzip stream
+// decompresses to before its first error.
+func gunzippedLen(b []byte) int {
+	zr, err := gzip.NewReader(bytes.NewReader(b))
+	if err != nil {
+		return 0
+	}
+	n, _ := io.Copy(io.Discard, zr)
+	return int(n)
 }

@@ -7,7 +7,9 @@ package size
 // behind Estimate.
 
 import (
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"repro/internal/globalfunc"
@@ -53,19 +55,40 @@ func (m *estimateMachine) Step(in sim.Input) bool {
 
 func (m *estimateMachine) Result() any { return m.gl.Estimate }
 
-// glState is the checkpointable image of estimateMachine, exported for gob.
+// AppendState implements sim.Snapshotter: varint probe, varint estimate.
+func (m *estimateMachine) AppendState(dst []byte) []byte {
+	return glState{I: m.gl.Probe, Est: m.gl.Estimate}.AppendState(dst)
+}
+
+// RestoreState implements sim.Snapshotter.
+func (m *estimateMachine) RestoreState(src []byte) error {
+	probe, n := binary.Varint(src)
+	if n <= 0 {
+		return errors.New("size: estimator state truncated")
+	}
+	est, k := binary.Varint(src[n:])
+	if k <= 0 {
+		return errors.New("size: estimator state truncated")
+	}
+	if rest := len(src) - n - k; rest != 0 {
+		return fmt.Errorf("size: estimator state has %d trailing bytes", rest)
+	}
+	m.gl.Probe, m.gl.Estimate = int(probe), est
+	return nil
+}
+
+// glState is estimateMachine's state as version-1 checkpoints carried it,
+// exported for gob. Its AppendState writes the machine's bytes, which is
+// how version-1 checkpoints still resume.
 type glState struct {
 	I   int
 	Est int64
 }
 
-// SnapshotState implements sim.Snapshotter.
-func (m *estimateMachine) SnapshotState() any { return glState{I: m.gl.Probe, Est: m.gl.Estimate} }
-
-// RestoreState implements sim.Snapshotter.
-func (m *estimateMachine) RestoreState(state any) {
-	s := state.(glState)
-	m.gl.Probe, m.gl.Estimate = s.I, s.Est
+// AppendState renders the version-1 state in estimateMachine's layout.
+func (s glState) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(s.I))
+	return binary.AppendVarint(dst, s.Est)
 }
 
 // GLStepProgram returns the Greenberg–Ladner estimator program, for callers

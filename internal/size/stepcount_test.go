@@ -59,3 +59,29 @@ func TestEstimateEngineEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimatorStateBytes: the estimator's state bytes round-trip, match
+// the version-1 glState rendering, and refuse malformed input.
+func TestEstimatorStateBytes(t *testing.T) {
+	var m estimateMachine
+	m.gl.Probe, m.gl.Estimate = 7, 1<<33
+	raw := m.AppendState(nil)
+	var back estimateMachine
+	if err := back.RestoreState(raw); err != nil {
+		t.Fatal(err)
+	}
+	if back.gl.Probe != 7 || back.gl.Estimate != 1<<33 {
+		t.Errorf("restored probe %d estimate %d", back.gl.Probe, back.gl.Estimate)
+	}
+	if got := (glState{I: 7, Est: 1 << 33}).AppendState(nil); string(got) != string(raw) {
+		t.Errorf("version-1 state renders %x, machine %x", got, raw)
+	}
+	for cut := range raw {
+		if err := back.RestoreState(raw[:cut]); err == nil {
+			t.Errorf("state truncated to %d of %d bytes restored", cut, len(raw))
+		}
+	}
+	if err := back.RestoreState(append(raw, 0)); err == nil {
+		t.Error("state with a trailing byte restored")
+	}
+}
